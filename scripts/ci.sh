@@ -421,8 +421,16 @@ tiered = [n for n in kernels
           if n.endswith(("_scalar", "_avx2", "_avx512"))]
 assert tiered, "schema 2 requires tier-suffixed variant labels"
 spmm_variants = [n for n in kernels if n.startswith("spmm|")]
-assert len(spmm_variants) >= 3, \
-    f"expected a per-variant spmm sweep, got {spmm_variants}"
+# The sweep covers exactly the two SpMM algorithms (csr, csr_blocked) at the
+# same tiers, so a deleted variant cannot quietly come back.
+spmm_tiers = {n[len("spmm|csr_"):] for n in spmm_variants
+              if n.startswith("spmm|csr_") and
+              not n.startswith("spmm|csr_blocked_")}
+assert spmm_tiers, f"expected a per-variant spmm sweep, got {spmm_variants}"
+expected = {f"spmm|{algo}_{tier}"
+            for algo in ("csr", "csr_blocked") for tier in spmm_tiers}
+assert set(spmm_variants) == expected, \
+    f"spmm variants {sorted(spmm_variants)} != {sorted(expected)}"
 for name, k in kernels.items():
     assert k["calls"] > 0, name
     assert k["time_ms"] > 0, name

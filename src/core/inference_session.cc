@@ -87,7 +87,7 @@ void InferenceSession::EnsureArtifactsLocked() {
   cached_aggregation_ =
       encoder_->PrecomputeAggregation(adj_edges_, adj_mask_,
                                       /*renormalize_mask=*/true);
-  // Autotune the SpMM variant for this graph version. Choose() is a pure
+  // Choose the SpMM variant for this graph version. Choose() is a pure
   // function of the graph statistics, the hidden feature width, and the
   // active SIMD tier, memoized on the edge list — so every forward over
   // adj_edges_ (warm query or benchmark) replays exactly this decision, and
@@ -95,8 +95,7 @@ void InferenceSession::EnsureArtifactsLocked() {
   // variant. Exported as a labeled gauge so /metrics shows which kernel is
   // serving; the previous version's label is zeroed on change.
   const auto plan = adj_edges_->plan();
-  const kernels::SpmmChoice choice =
-      plan->Choose(encoder_->hidden_dim(), /*w=*/nullptr, /*x=*/nullptr);
+  const kernels::SpmmChoice choice = plan->Choose(encoder_->hidden_dim());
   const char* variant = kernels::SpmmVariantName(choice);
   if (spmm_variant_ != nullptr && spmm_variant_ != variant) {
     obs::MetricsRegistry::Get()

@@ -127,7 +127,7 @@ class InferenceSession {
     return {cache_hits_.load(), cache_misses_.load()};
   }
 
-  /// The autotuned SpMM kernel variant serving the current graph version
+  /// The SpMM kernel variant serving the current graph version
   /// (e.g. "csr_avx2"), decided once per version inside the artifact rebuild
   /// and exported as `ses.kernel.autotune{op="spmm",variant=...}`. Empty
   /// until the first query builds the artifacts. Deterministic given

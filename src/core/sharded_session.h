@@ -24,7 +24,7 @@ struct ShardedSessionOptions {
   graph::PartitionOptions partition;
   /// Pin every shard plan's SpMM variant decision to the whole graph's
   /// statistics (required for the bitwise parity contract; off only for
-  /// experiments that want per-shard autotuning).
+  /// experiments that want per-shard variant choices).
   bool pin_spmm_stats = true;
 };
 

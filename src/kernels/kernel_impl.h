@@ -98,16 +98,6 @@ inline void GatherRowsImpl(const float* a, int64_t cols, const int64_t* index,
 }
 
 template <class Ops>
-void SpmmEdgesImpl(const int64_t* esrc, const int64_t* edst, const float* w,
-                   int64_t e_count, const float* x, int64_t f, float* out) {
-  for (int64_t e = 0; e < e_count; ++e) {
-    const float we = w[e];
-    if (we == 0.0f) continue;
-    Ops::Axpy(out + edst[e] * f, x + esrc[e] * f, f, we);
-  }
-}
-
-template <class Ops>
 void SpmmCsrImpl(int64_t rows, const int64_t* row_ptr, const int64_t* col,
                  const int64_t* perm, const float* w, const float* x,
                  int64_t f, float* out, const float* bias, bool relu) {

@@ -163,13 +163,7 @@ constexpr bool kCompiled = false;
 
 #endif  // SES_KERNELS_AVX512_COMPILED
 
-void AxpyRow(float* dst, const float* src, int64_t n, float a) {
-  Ops::Axpy(dst, src, n, a);
-}
 void AddRow(float* dst, const float* src, int64_t n) { Ops::Add(dst, src, n); }
-void BiasActRow(float* row, const float* bias, int64_t n, bool relu) {
-  Ops::BiasAct(row, bias, n, relu);
-}
 void VecAdd(const float* a, const float* b, float* out, int64_t n) {
   VecAddImpl<Ops>(a, b, out, n);
 }
@@ -189,10 +183,6 @@ void MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void GatherRows(const float* a, int64_t cols, const int64_t* index, int64_t n,
                 float* out) {
   GatherRowsImpl(a, cols, index, n, out);
-}
-void SpmmEdges(const int64_t* esrc, const int64_t* edst, const float* w,
-               int64_t e, const float* x, int64_t f, float* out) {
-  SpmmEdgesImpl<Ops>(esrc, edst, w, e, x, f, out);
 }
 void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
              const int64_t* perm, const float* w, const float* x, int64_t f,
@@ -217,16 +207,13 @@ const Dispatch kDispatchAvx512 = {
     "unary_avx512",
     "binary_avx512",
     "rows_avx512",
-    &AxpyRow,
     &AddRow,
     &VecAdd,
     &VecSub,
     &VecMul,
     &VecRelu,
-    &BiasActRow,
     &MatMul,
     &GatherRows,
-    &SpmmEdges,
     &SpmmCsr,
     &SpmmCsrBlocked,
 };

@@ -1,12 +1,7 @@
 #include "kernels/spmm.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <numeric>
 
 #include "util/logging.h"
 
@@ -19,44 +14,7 @@ namespace {
 /// across machines of the same class.
 constexpr int64_t kL2BudgetBytes = 1 << 20;
 
-/// Below this nnz the CSR build costs more than it saves; explain-path motif
-/// subgraphs are a few dozen edges.
-constexpr int64_t kTinyNnz = 2048;
-
-std::atomic<int> g_autotune_mode{-1};
-
-AutotuneMode ResolveAutotuneMode() {
-  const char* mode = std::getenv("SES_KERNEL_AUTOTUNE");
-  if (mode == nullptr || mode[0] == '\0' ||
-      std::strcmp(mode, "heuristic") == 0)
-    return AutotuneMode::kHeuristic;
-  if (std::strcmp(mode, "timed") == 0) return AutotuneMode::kTimed;
-  SES_LOG_WARN << "SES_KERNEL_AUTOTUNE='" << mode
-               << "' is not heuristic|timed; using heuristic";
-  return AutotuneMode::kHeuristic;
-}
-
-double NowNs() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
-
-AutotuneMode ActiveAutotuneMode() {
-  int mode = g_autotune_mode.load(std::memory_order_acquire);
-  if (mode < 0) {
-    mode = static_cast<int>(ResolveAutotuneMode());
-    g_autotune_mode.store(mode, std::memory_order_release);
-  }
-  return static_cast<AutotuneMode>(mode);
-}
-
-void ResetAutotuneModeForTest() {
-  g_autotune_mode.store(-1, std::memory_order_release);
-}
 
 CsrAdj BuildCsrByDst(const int64_t* src, const int64_t* dst, int64_t e,
                      int64_t n) {
@@ -108,7 +66,6 @@ GraphStats ComputeGraphStats(const int64_t* dst, int64_t e, int64_t n) {
 
 const char* SpmmVariantName(SpmmChoice choice) {
   static const char* kNames[kNumSpmmAlgos][kNumSimdTiers] = {
-      {"edges_scalar", "edges_avx2", "edges_avx512"},
       {"csr_scalar", "csr_avx2", "csr_avx512"},
       {"csr_blocked_scalar", "csr_blocked_avx2", "csr_blocked_avx512"},
   };
@@ -118,12 +75,6 @@ const char* SpmmVariantName(SpmmChoice choice) {
 SpmmChoice HeuristicSpmmChoice(const GraphStats& stats, int64_t feat,
                                SimdTier tier) {
   SpmmChoice c{SpmmAlgo::kCsr, tier};
-  // Tiny graphs (explain-path motifs): the CSR build is pure overhead and
-  // the whole working set is cache-resident anyway.
-  if (stats.nnz < kTinyNnz) {
-    c.algo = SpmmAlgo::kEdgeOrder;
-    return c;
-  }
   // Skewed in-degree AND a gathered working set past L2: hot rows thrash the
   // cache under plain CSR order, so sweep source blocks instead. The reorder
   // costs bitwise parity, so the bar is deliberately high.
@@ -143,12 +94,12 @@ int64_t BlockColsFor(int64_t feat) {
 
 SpmmPlan::SpmmPlan(const int64_t* src, const int64_t* dst, int64_t e,
                    int64_t n)
-    : src_(src), dst_(dst), edges_(e), stats_(ComputeGraphStats(dst, e, n)) {}
+    : src_(src), dst_(dst), stats_(ComputeGraphStats(dst, e, n)) {}
 
 const CsrAdj& SpmmPlan::EnsureCsr() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!csr_built_) {
-    csr_ = BuildCsrByDst(src_, dst_, edges_, stats_.nodes);
+    csr_ = BuildCsrByDst(src_, dst_, stats_.nnz, stats_.nodes);
     csr_built_ = true;
   }
   return csr_;
@@ -181,28 +132,6 @@ const CsrAdj& SpmmPlan::EnsureSortedCsr() const {
   return csr_;
 }
 
-SpmmChoice SpmmPlan::TimedChoice(int64_t feat, const float* w,
-                                 const float* x) const {
-  const SimdTier tier = ActiveTier();
-  const SpmmChoice candidates[2] = {{SpmmAlgo::kCsr, tier},
-                                    {SpmmAlgo::kCsrBlocked, tier}};
-  std::vector<float> scratch(
-      static_cast<size_t>(stats_.nodes) * static_cast<size_t>(feat));
-  SpmmChoice best = candidates[0];
-  double best_ns = 0.0;
-  for (const SpmmChoice& cand : candidates) {
-    std::fill(scratch.begin(), scratch.end(), 0.0f);
-    const double t0 = NowNs();
-    Run(cand, w, x, feat, scratch.data(), nullptr, false);
-    const double elapsed = NowNs() - t0;
-    if (cand.algo == candidates[0].algo || elapsed < best_ns) {
-      best = cand;
-      best_ns = elapsed;
-    }
-  }
-  return best;
-}
-
 void SpmmPlan::PinChoiceStats(const GraphStats& stats) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (stats_pinned_ && pinned_stats_.nodes == stats.nodes &&
@@ -216,31 +145,12 @@ void SpmmPlan::PinChoiceStats(const GraphStats& stats) const {
   choice_memo_.clear();
 }
 
-SpmmChoice SpmmPlan::Choose(int64_t feat, const float* w,
-                            const float* x) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [f, c] : choice_memo_)
-      if (f == feat) return c;
-    if (stats_pinned_) {
-      // Pinned plans decide from the caller-supplied stats, heuristically —
-      // see PinChoiceStats. Memoize under the same lock; no timed path.
-      const SpmmChoice choice =
-          HeuristicSpmmChoice(pinned_stats_, feat, ActiveTier());
-      choice_memo_.emplace_back(feat, choice);
-      return choice;
-    }
-  }
-  SpmmChoice choice;
-  if (ActiveAutotuneMode() == AutotuneMode::kTimed && w != nullptr &&
-      x != nullptr && stats_.nnz >= kTinyNnz) {
-    choice = TimedChoice(feat, w, x);
-  } else {
-    choice = HeuristicSpmmChoice(stats_, feat, ActiveTier());
-  }
+SpmmChoice SpmmPlan::Choose(int64_t feat) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [f, c] : choice_memo_)  // lost the race: first call wins
+  for (const auto& [f, c] : choice_memo_)
     if (f == feat) return c;
+  const SpmmChoice choice = HeuristicSpmmChoice(
+      stats_pinned_ ? pinned_stats_ : stats_, feat, ActiveTier());
   choice_memo_.emplace_back(feat, choice);
   return choice;
 }
@@ -250,13 +160,6 @@ void SpmmPlan::Run(SpmmChoice choice, const float* w, const float* x,
                    bool relu) const {
   const Dispatch& d = DispatchFor(choice.tier);
   switch (choice.algo) {
-    case SpmmAlgo::kEdgeOrder: {
-      d.spmm_edges(src_, dst_, w, edges_, x, f, out);
-      if (bias != nullptr || relu)
-        for (int64_t r = 0; r < stats_.nodes; ++r)
-          d.bias_act_row(out + r * f, bias, f, relu);
-      break;
-    }
     case SpmmAlgo::kCsr: {
       const CsrAdj& csr = EnsureCsr();
       d.spmm_csr(csr.rows, csr.row_ptr.data(), csr.col.data(),

@@ -12,27 +12,25 @@
 namespace ses::kernels {
 
 /// ---------------------------------------------------------------------------
-/// Per-graph SpMM planning and autotuning.
+/// Per-graph SpMM planning.
 ///
 /// Aggregation SpMMs run thousands of times over the same adjacency (per
 /// epoch in training, per request in serving), so the per-graph work — a
 /// CSR-by-destination view of the edge list, cheap graph statistics, and the
 /// variant decision derived from them — is computed once and memoized in an
-/// `SpmmPlan` that lives on the owning EdgeList. The decision is a PURE
-/// function of (graph statistics, feature width, active SIMD tier) so that
-/// every path over the same graph — taped training, taped eval, the
-/// InferenceGuard serving fast path — provably picks the same kernel and
-/// stays bitwise reproducible. One-shot timed calibration on the real
-/// operands is available behind SES_KERNEL_AUTOTUNE=timed; it can pick a
-/// differently-ordered variant (csr_blocked), so it is opt-in and documented
-/// as tolerance-level, not bitwise, reproducible.
+/// `SpmmPlan` that lives on the owning EdgeList. Two algorithms exist: `csr`
+/// (rows in edge order) and `csr_blocked` (source-blocked sweep for skewed
+/// graphs). The choice between them is a PURE function of (graph statistics,
+/// feature width, active SIMD tier), so every path over the same graph —
+/// taped training, taped eval, the InferenceGuard serving fast path — picks
+/// the same kernel and stays bitwise reproducible.
 
 /// Structure-only CSR view of an edge list, grouped by destination. Entries
 /// keep their original edge order within each row (stable counting sort), so
 /// per-row accumulation order equals edge order — the property that makes
-/// csr_* bitwise-equal to edges_* at the same tier. `perm` maps each entry
-/// back to its edge index for weight lookup (weights change every call; the
-/// structure does not).
+/// scalar csr bitwise-equal to a plain edge-order scatter. `perm` maps each
+/// entry back to its edge index for weight lookup (weights change every call;
+/// the structure does not).
 struct CsrAdj {
   int64_t rows = 0;  ///< destination nodes
   int64_t cols = 0;  ///< source nodes
@@ -52,8 +50,9 @@ struct CsrAdj {
 CsrAdj BuildCsrByDst(const int64_t* src, const int64_t* dst, int64_t e,
                      int64_t n);
 
-/// Cheap statistics the autotuner decides from. Degree means in-degree (by
-/// destination — the scatter side that determines SpMM locality).
+/// Cheap statistics the variant heuristic decides from. Degree means
+/// in-degree (by destination — the scatter side that determines SpMM
+/// locality).
 struct GraphStats {
   int64_t nodes = 0;
   int64_t nnz = 0;
@@ -66,28 +65,22 @@ struct GraphStats {
 GraphStats ComputeGraphStats(const int64_t* dst, int64_t e, int64_t n);
 
 enum class SpmmAlgo : int {
-  kEdgeOrder = 0,   ///< edge-stream scatter; no per-graph setup
-  kCsr = 1,         ///< CSR-by-dst rows, edge order preserved
-  kCsrBlocked = 2,  ///< CSR + source-blocked sweep (skewed-degree graphs)
+  kCsr = 0,         ///< CSR-by-dst rows, edge order preserved
+  kCsrBlocked = 1,  ///< CSR + source-blocked sweep (skewed-degree graphs)
 };
-inline constexpr int kNumSpmmAlgos = 3;
+inline constexpr int kNumSpmmAlgos = 2;
 
 struct SpmmChoice {
   SpmmAlgo algo = SpmmAlgo::kCsr;
   SimdTier tier = SimdTier::kScalar;
 };
 
-/// Static-storage variant label ("csr_avx512", "edges_scalar", ...) for
-/// KernelScope / metrics / bench entries.
+/// Static-storage variant label ("csr_avx512", "csr_blocked_scalar", ...)
+/// for KernelScope / metrics / bench entries.
 const char* SpmmVariantName(SpmmChoice choice);
 
-/// Autotune modes (SES_KERNEL_AUTOTUNE env: "heuristic" default, "timed").
-enum class AutotuneMode { kHeuristic = 0, kTimed = 1 };
-AutotuneMode ActiveAutotuneMode();
-void ResetAutotuneModeForTest();
-
-/// The deterministic decision rule: a pure function of (stats, feature
-/// width, tier). Exposed directly for the CI determinism check.
+/// The decision rule: a pure function of (stats, feature width, tier).
+/// Exposed directly for the CI determinism check.
 SpmmChoice HeuristicSpmmChoice(const GraphStats& stats, int64_t feat,
                                SimdTier tier);
 
@@ -95,9 +88,9 @@ SpmmChoice HeuristicSpmmChoice(const GraphStats& stats, int64_t feat,
 /// gathered x block (block_cols rows of f floats) fits the L2 budget.
 int64_t BlockColsFor(int64_t feat);
 
-/// Memoized per-graph plan: stats eagerly, CSR views lazily (an edge-order
-/// decision never pays for the CSR build), choice per feature width. All
-/// accessors are thread-safe; serving threads share one plan.
+/// Memoized per-graph plan: stats eagerly, CSR views on the first Run that
+/// needs them, choice per feature width. All accessors are thread-safe;
+/// serving threads share one plan.
 ///
 /// The plan RETAINS the src/dst pointers it was built from — it lives inside
 /// the owning EdgeList (see SpmmPlanCell), whose index arrays are immutable
@@ -109,20 +102,15 @@ class SpmmPlan {
 
   const GraphStats& stats() const { return stats_; }
 
-  /// The variant decision for feature width `feat`, memoized per width.
-  /// Heuristic mode ignores `w`/`x`; timed mode (when they are non-null)
-  /// runs a one-shot calibration over the real operands the first time a
-  /// width is seen. The first call for a width wins — later calls replay
-  /// the memo, so a session's pre-warm decision and its forwards agree.
-  SpmmChoice Choose(int64_t feat, const float* w, const float* x) const;
+  /// The variant decision for feature width `feat`, from the pinned stats
+  /// when set and this plan's own otherwise; memoized per width.
+  SpmmChoice Choose(int64_t feat) const;
 
   /// Pins the statistics Choose decides from to `stats` instead of this
   /// plan's own, clearing any memoized decisions. Sharded serving pins every
   /// shard plan to the WHOLE-graph statistics so all shards land in the same
-  /// accumulation-order class as the single-session plan (csr/edges vs
+  /// accumulation-order class as the single-session plan (csr vs
   /// csr_blocked) — the property the bitwise shard-parity contract rests on.
-  /// Pinned plans always decide heuristically; timed calibration could pick
-  /// a differently-ordered variant on one shard only, so it is bypassed.
   void PinChoiceStats(const GraphStats& stats) const;
 
   /// Runs the chosen SpMM: out(nodes x f, zero-initialized) accumulates the
@@ -133,11 +121,9 @@ class SpmmPlan {
  private:
   const CsrAdj& EnsureCsr() const;
   const CsrAdj& EnsureSortedCsr() const;
-  SpmmChoice TimedChoice(int64_t feat, const float* w, const float* x) const;
 
   const int64_t* src_ = nullptr;
   const int64_t* dst_ = nullptr;
-  int64_t edges_ = 0;
   GraphStats stats_;
   mutable std::mutex mu_;
   mutable CsrAdj csr_;          ///< rows empty until built

@@ -267,9 +267,9 @@ class SpmmParityTest : public ::testing::Test {
           t::Tensor got = t::Tensor::Zeros(g.nodes, f);
           plan.Run(choice, w.data(), x.data(), f, got.data(), bias_ptr,
                    with_epilogue);
-          // Scalar edge-order and scalar CSR (stable, edge-order entries)
-          // are bitwise against the reference; everything else (FMA and/or
-          // column-sorted reordering) is tolerance-gated.
+          // Scalar CSR (stable, edge-order entries) is bitwise against the
+          // reference; everything else (FMA and/or column-sorted
+          // reordering) is tolerance-gated.
           const bool bitwise = tier == k::SimdTier::kScalar &&
                                choice.algo != k::SpmmAlgo::kCsrBlocked;
           const double diff =
@@ -463,20 +463,20 @@ TEST(AutotuneTest, IdenticalGraphsLandOnTheSameVariant) {
   const k::SpmmPlan p1(g.src.data(), g.dst.data(), e, g.nodes);
   const k::SpmmPlan p2(g.src.data(), g.dst.data(), e, g.nodes);
   for (const int64_t f : kWidths) {
-    const k::SpmmChoice c1 = p1.Choose(f, nullptr, nullptr);
-    const k::SpmmChoice c2 = p2.Choose(f, nullptr, nullptr);
+    const k::SpmmChoice c1 = p1.Choose(f);
+    const k::SpmmChoice c2 = p2.Choose(f);
     EXPECT_STREQ(k::SpmmVariantName(c1), k::SpmmVariantName(c2)) << f;
   }
 }
 
-TEST(AutotuneTest, TinyGraphPrefersEdgeOrderAndSkewPrefersBlocked) {
+TEST(AutotuneTest, TinyGraphPrefersCsrAndSkewPrefersBlocked) {
   k::GraphStats tiny;
   tiny.nodes = 30;
-  tiny.nnz = 60;  // < kTinyNnz: CSR build never pays off
+  tiny.nnz = 60;  // explain-path motif scale
   tiny.avg_degree = 2.0;
   EXPECT_EQ(static_cast<int>(
                 k::HeuristicSpmmChoice(tiny, 16, k::SimdTier::kScalar).algo),
-            static_cast<int>(k::SpmmAlgo::kEdgeOrder));
+            static_cast<int>(k::SpmmAlgo::kCsr));
   k::GraphStats skewed;
   skewed.nodes = 200000;
   skewed.nnz = 2000000;

@@ -242,7 +242,7 @@ TEST(SpmmPlanPinTest, PinnedStatsDriveTheChoice) {
   big.degree_cv = 5.0;
   const auto plan = edges->plan();
   plan->PinChoiceStats(big);
-  const k::SpmmChoice got = plan->Choose(64, nullptr, nullptr);
+  const k::SpmmChoice got = plan->Choose(64);
   const k::SpmmChoice want = k::HeuristicSpmmChoice(big, 64, got.tier);
   EXPECT_EQ(static_cast<int>(got.algo), static_cast<int>(want.algo));
   EXPECT_EQ(static_cast<int>(want.algo),

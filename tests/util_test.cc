@@ -4,6 +4,8 @@
 #include <set>
 
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -166,6 +168,42 @@ TEST(StringTest, FlagParser) {
   EXPECT_EQ(flags.GetInt("epochs", 0), 40);
   EXPECT_EQ(flags.GetString("name", ""), "test");
   EXPECT_EQ(flags.GetInt("missing", 99), 99);
+
+  // A bare flag is a bool; asking it for a value names the --flag=value form
+  // instead of turning `--trace-out /path` into a file named "true".
+  const char* bare_argv[] = {"prog", "--trace-out", "out/t.json"};
+  u::FlagParser bare(3, const_cast<char**>(bare_argv));
+  EXPECT_TRUE(bare.GetBool("trace-out", false));
+  EXPECT_THROW(bare.GetInt("trace-out", 0), std::invalid_argument);
+  EXPECT_THROW(bare.GetDouble("trace-out", 0.0), std::invalid_argument);
+  try {
+    bare.GetString("trace-out", "");
+    ADD_FAILURE() << "bare --trace-out accepted as a string value";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--trace-out=<value>"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Numbers must parse whole; bools must be one of the accepted spellings.
+  const char* bad_argv[] = {
+      "prog",      "--n=",        "--m=12abc",  "--k=abc",
+      "--x=",      "--y=0.5s",    "--z=fast",   "--b=maybe",
+      "--big=99999999999999999999", "--off=false", "--on=yes", "--zero=0"};
+  u::FlagParser bad(12, const_cast<char**>(bad_argv));
+  EXPECT_THROW(bad.GetInt("n", 0), std::invalid_argument);
+  EXPECT_THROW(bad.GetInt("m", 0), std::invalid_argument);
+  EXPECT_THROW(bad.GetInt("k", 0), std::invalid_argument);
+  EXPECT_THROW(bad.GetInt("big", 0), std::invalid_argument);
+  EXPECT_THROW(bad.GetDouble("x", 0.0), std::invalid_argument);
+  EXPECT_THROW(bad.GetDouble("y", 0.0), std::invalid_argument);
+  EXPECT_THROW(bad.GetDouble("z", 0.0), std::invalid_argument);
+  EXPECT_THROW(bad.GetBool("b", false), std::invalid_argument);
+  EXPECT_FALSE(bad.GetBool("off", true));
+  EXPECT_TRUE(bad.GetBool("on", false));
+  EXPECT_FALSE(bad.GetBool("zero", true));
+  EXPECT_EQ(bad.GetInt("zero", 7), 0);
+  EXPECT_EQ(bad.GetString("n", "fallback"), "");  // empty string is a value
 }
 
 TEST(FileTest, WriteCreatesDirectories) {
