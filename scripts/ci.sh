@@ -475,12 +475,14 @@ PY
 stage_kernels_dispatch() {
   ensure_release
   # SIMD dispatch gate: the full kernel parity suite (SIMD-vs-scalar parity
-  # sweeps, NaN masking, fused epilogue, fused-op gradients) re-runs with
+  # sweeps, NaN masking, fused epilogue, fused-op gradients, the bitwise
+  # narrow-matmul / MatMulTransposedB / EdgeDot references) re-runs with
   # SES_KERNEL_VARIANT pinned to each tier the host CPU supports. Tiers the
   # host lacks are LOGGED as skipped, never silently dropped — a CI box
   # without AVX-512 must say so in the log.
   local parity_filter='DispatchTest.*:KernelParityTest.*:SpmmParityTest.*'
   parity_filter+=':SpmmNanTest.*:SpmmBiasActTest.*'
+  parity_filter+=':NarrowMatMulTest.*:MatMulBtTest.*:EdgeDotTest.*'
   local variant
   for variant in scalar avx2 avx512; do
     local supported=1

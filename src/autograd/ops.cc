@@ -18,25 +18,40 @@ namespace t = ses::tensor;
 
 namespace {
 
-/// Shorthand for a unary op whose backward multiplies the incoming gradient
-/// elementwise with a locally computed factor tensor.
-Variable UnaryWithFactor(const Variable& a, t::Tensor value, t::Tensor factor,
+/// Unary op whose backward accumulates g ⊙ factor into the input's grad.
+/// The factor is evaluated in backward from the input x and the stored
+/// output y as `factor(x, y)`, so the forward neither allocates nor fills
+/// an N x C factor tensor. `self` is a raw pointer: the closure lives inside
+/// the node it reads, so capturing the NodePtr would form a cycle.
+template <typename Factor>
+Variable UnaryWithFactor(const Variable& a, t::Tensor value, Factor factor,
                          const char* bwd_label) {
+  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(value)));
   NodePtr pa = a.node();
-  auto node = MakeOpNode(
-      std::move(value), {pa},
-      [pa, factor = std::move(factor)](const t::Tensor& g) {
-        if (pa->requires_grad) {
-          t::Tensor& dst = pa->EnsureGrad();
-          const int64_t n = g.size();
-          const float* pg = g.data();
-          const float* pf = factor.data();
-          float* pd = dst.data();
-          for (int64_t i = 0; i < n; ++i) pd[i] += pg[i] * pf[i];
-        }
-      },
-      bwd_label);
+  NodePtr node = MakeTapeNode(std::move(value), {pa}, nullptr, bwd_label);
+  const Node* self = node.get();
+  node->backward_fn = [pa, self, factor](const t::Tensor& g) {
+    if (!pa->requires_grad) return;
+    t::Tensor& dst = pa->EnsureGrad();
+    const int64_t n = g.size();
+    const float* pg = g.data();
+    const float* px = pa->value.data();
+    const float* py = self->value.data();
+    float* pd = dst.data();
+    for (int64_t i = 0; i < n; ++i) pd[i] += pg[i] * factor(px[i], py[i]);
+  };
   return Variable(node);
+}
+
+/// dst += g ⊙ other, product rounded before the add (no FMA): bitwise the
+/// AddInPlace(t::Mul(g, other)) it replaces, without the temporary.
+void AddProduct(t::Tensor* dst, const t::Tensor& g, const t::Tensor& other) {
+  SES_CHECK(dst->SameShape(g) && g.SameShape(other));
+  const int64_t n = g.size();
+  const float* pg = g.data();
+  const float* po = other.data();
+  float* pd = dst->data();
+  for (int64_t i = 0; i < n; ++i) pd[i] += pg[i] * po[i];
 }
 
 }  // namespace
@@ -100,9 +115,9 @@ Variable Mul(const Variable& a, const Variable& b) {
   auto node = MakeOpNode(t::Mul(pa->value, pb->value), {pa, pb},
                          [pa, pb](const t::Tensor& g) {
                            if (pa->requires_grad)
-                             pa->EnsureGrad().AddInPlace(t::Mul(g, pb->value));
+                             AddProduct(&pa->EnsureGrad(), g, pb->value);
                            if (pb->requires_grad)
-                             pb->EnsureGrad().AddInPlace(t::Mul(g, pa->value));
+                             AddProduct(&pb->EnsureGrad(), g, pa->value);
                          },
                          "bwd:Mul");
   return Variable(node);
@@ -154,119 +169,77 @@ Variable Neg(const Variable& a) { return Scale(a, -1.0f); }
 
 Variable Sigmoid(const Variable& a) {
   SES_OP_FWD("Sigmoid");
-  t::Tensor y = t::Sigmoid(a.value());
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor(y.rows(), y.cols());
-  for (int64_t i = 0; i < y.size(); ++i) factor[i] = y[i] * (1.0f - y[i]);
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Sigmoid");
+  return UnaryWithFactor(a, t::Sigmoid(a.value()),
+                         [](float, float y) { return y * (1.0f - y); },
+                         "bwd:Sigmoid");
 }
 
 Variable Tanh(const Variable& a) {
   SES_OP_FWD("Tanh");
-  t::Tensor y = t::Tanh(a.value());
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor(y.rows(), y.cols());
-  for (int64_t i = 0; i < y.size(); ++i) factor[i] = 1.0f - y[i] * y[i];
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Tanh");
+  return UnaryWithFactor(a, t::Tanh(a.value()),
+                         [](float, float y) { return 1.0f - y * y; },
+                         "bwd:Tanh");
 }
 
 Variable Relu(const Variable& a) {
   SES_OP_FWD("Relu");
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(t::Relu(a.value())));
-  const t::Tensor& x = a.value();
-  t::Tensor y(x.rows(), x.cols());
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i) {
-    y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-    factor[i] = x[i] > 0.0f ? 1.0f : 0.0f;
-  }
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Relu");
+  // y > 0 exactly when x > 0 (NaN and -0 map to +0).
+  return UnaryWithFactor(a, t::Relu(a.value()),
+                         [](float, float y) { return y > 0.0f ? 1.0f : 0.0f; },
+                         "bwd:Relu");
 }
 
 Variable LeakyRelu(const Variable& a, float slope) {
   SES_OP_FWD("LeakyRelu");
-  if (!GradEnabled())
-    return Variable(MakeTapeFreeNode(t::LeakyRelu(a.value(), slope)));
-  const t::Tensor& x = a.value();
-  t::Tensor y(x.rows(), x.cols());
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i) {
-    y[i] = x[i] > 0.0f ? x[i] : slope * x[i];
-    factor[i] = x[i] > 0.0f ? 1.0f : slope;
-  }
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:LeakyRelu");
+  return UnaryWithFactor(
+      a, t::LeakyRelu(a.value(), slope),
+      [slope](float x, float) { return x > 0.0f ? 1.0f : slope; },
+      "bwd:LeakyRelu");
 }
 
 Variable Elu(const Variable& a, float alpha) {
   SES_OP_FWD("Elu");
-  if (!GradEnabled())
-    return Variable(MakeTapeFreeNode(t::Elu(a.value(), alpha)));
-  const t::Tensor& x = a.value();
-  t::Tensor y(x.rows(), x.cols());
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i) {
-    if (x[i] > 0.0f) {
-      y[i] = x[i];
-      factor[i] = 1.0f;
-    } else {
-      y[i] = alpha * (std::exp(x[i]) - 1.0f);
-      factor[i] = y[i] + alpha;  // d/dx elu = elu(x) + alpha for x <= 0
-    }
-  }
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Elu");
+  // d/dx elu = elu(x) + alpha for x <= 0.
+  return UnaryWithFactor(
+      a, t::Elu(a.value(), alpha),
+      [alpha](float x, float y) { return x > 0.0f ? 1.0f : y + alpha; },
+      "bwd:Elu");
 }
 
 Variable Exp(const Variable& a) {
   SES_OP_FWD("Exp");
-  t::Tensor y = t::Exp(a.value());
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor = y;
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Exp");
+  return UnaryWithFactor(a, t::Exp(a.value()),
+                         [](float, float y) { return y; }, "bwd:Exp");
 }
 
 Variable Log(const Variable& a) {
   SES_OP_FWD("Log");
-  const t::Tensor& x = a.value();
-  t::Tensor y = t::Log(x);
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i)
-    factor[i] = 1.0f / std::max(x[i], 1e-12f);
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Log");
+  return UnaryWithFactor(
+      a, t::Log(a.value()),
+      [](float x, float) { return 1.0f / std::max(x, 1e-12f); }, "bwd:Log");
 }
 
 Variable Sqrt(const Variable& a, float eps) {
   SES_OP_FWD("Sqrt");
-  t::Tensor y = t::Sqrt(a.value());
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor(y.rows(), y.cols());
-  for (int64_t i = 0; i < y.size(); ++i)
-    factor[i] = 0.5f / std::max(y[i], eps);
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Sqrt");
+  return UnaryWithFactor(
+      a, t::Sqrt(a.value()),
+      [eps](float, float y) { return 0.5f / std::max(y, eps); }, "bwd:Sqrt");
 }
 
 Variable Pow(const Variable& a, float p) {
   SES_OP_FWD("Pow");
+  // Negative powers keep the base off zero by sign.
+  const auto base = [p](float x) {
+    if (p < 0.0f && std::fabs(x) < 1e-12f) return x >= 0.0f ? 1e-12f : -1e-12f;
+    return x;
+  };
   const t::Tensor& x = a.value();
   t::Tensor y(x.rows(), x.cols());
-  if (!GradEnabled()) {
-    for (int64_t i = 0; i < x.size(); ++i) {
-      float base = x[i];
-      if (p < 0.0f && std::fabs(base) < 1e-12f)
-        base = base >= 0.0f ? 1e-12f : -1e-12f;
-      y[i] = std::pow(base, p);
-    }
-    return Variable(MakeTapeFreeNode(std::move(y)));
-  }
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i) {
-    float base = x[i];
-    if (p < 0.0f && std::fabs(base) < 1e-12f)
-      base = base >= 0.0f ? 1e-12f : -1e-12f;
-    y[i] = std::pow(base, p);
-    factor[i] = p * std::pow(base, p - 1.0f);
-  }
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Pow");
+  for (int64_t i = 0; i < x.size(); ++i) y[i] = std::pow(base(x[i]), p);
+  return UnaryWithFactor(
+      a, std::move(y),
+      [p, base](float xi, float) { return p * std::pow(base(xi), p - 1.0f); },
+      "bwd:Pow");
 }
 
 Variable ScaleBy(const Variable& a, const Variable& scalar) {
@@ -351,7 +324,14 @@ Variable Dropout(const Variable& a, float p, bool training, util::Rng* rng) {
   for (int64_t i = 0; i < x.size(); ++i)
     mask[i] = rng->Bernoulli(keep) ? 1.0f / keep : 0.0f;
   t::Tensor y = t::Mul(x, mask);
-  return UnaryWithFactor(a, std::move(y), std::move(mask), "bwd:Dropout");
+  NodePtr pa = a.node();
+  auto node = MakeOpNode(std::move(y), {pa},
+                         [pa, mask = std::move(mask)](const t::Tensor& g) {
+                           if (pa->requires_grad)
+                             AddProduct(&pa->EnsureGrad(), g, mask);
+                         },
+                         "bwd:Dropout");
+  return Variable(node);
 }
 
 Variable SumAll(const Variable& a) {

@@ -191,6 +191,61 @@ Variable EdgeSoftmax(const EdgeListPtr& edges, const Variable& scores) {
   return Variable(node);
 }
 
+Variable EdgeDot(const EdgeListPtr& pairs, const Variable& h) {
+  SES_TRACE_SPAN("fwd:EdgeDot");
+  SES_CHECK(pairs != nullptr);
+  NodePtr ph = h.node();
+  const t::Tensor& hv = ph->value;
+  const int64_t e_count = pairs->size();
+  const int64_t f = hv.cols();
+  const int64_t* src = pairs->src.data();
+  const int64_t* dst = pairs->dst.data();
+  for (int64_t e = 0; e < e_count; ++e)
+    SES_CHECK(src[e] >= 0 && src[e] < hv.rows() && dst[e] >= 0 &&
+              dst[e] < hv.rows());
+  t::Tensor y(e_count, 1);
+  {
+    // One multiply-add per pair element; both endpoint rows read once.
+    obs::KernelScope kscope("sddmm", "edge_dot",
+                            2.0 * static_cast<double>(e_count) * f,
+                            static_cast<double>(e_count) * (20.0 + 8.0 * f));
+#pragma omp parallel for schedule(static) \
+    if (kernels::ShouldParallelize(2.0 * static_cast<double>(e_count) * f))
+    for (int64_t e = 0; e < e_count; ++e) {
+      const float* hi = hv.RowPtr(src[e]);
+      const float* hj = hv.RowPtr(dst[e]);
+      double acc = 0.0;
+      for (int64_t c = 0; c < f; ++c) acc += hi[c] * hj[c];
+      y[e] = static_cast<float>(acc);
+    }
+  }
+  auto node = MakeOpNode(
+      std::move(y), {ph},
+      [pairs, ph, f](const t::Tensor& g) {
+        if (!ph->requires_grad) return;
+        // Two passes in the composite's tape order: its dst-side gather
+        // backs up first (rows dst[e] gain g·h[src]), then the src side. The
+        // product is rounded before the add (no FMA), as the composite's
+        // Mul-then-scatter did.
+        t::Tensor& dh = ph->EnsureGrad();
+        const t::Tensor& hv = ph->value;
+        const int64_t e_count = pairs->size();
+        for (int pass = 0; pass < 2; ++pass) {
+          const int64_t* to = pass == 0 ? pairs->dst.data() : pairs->src.data();
+          const int64_t* from =
+              pass == 0 ? pairs->src.data() : pairs->dst.data();
+          for (int64_t e = 0; e < e_count; ++e) {
+            const float ge = g[e];
+            const float* hrow = hv.RowPtr(from[e]);
+            float* drow = dh.RowPtr(to[e]);
+            for (int64_t c = 0; c < f; ++c) drow[c] += ge * hrow[c];
+          }
+        }
+      },
+      "bwd:EdgeDot");
+  return Variable(node);
+}
+
 Variable SparseMaskedLinear(const std::shared_ptr<const tensor::SparseMatrix>& x,
                             const Variable& mask, const Variable& w) {
   SES_TRACE_SPAN("fwd:SparseMaskedLinear");

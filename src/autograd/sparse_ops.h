@@ -61,6 +61,15 @@ Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
 /// Scores and output are E x 1. Used by GAT attention.
 Variable EdgeSoftmax(const EdgeListPtr& edges, const Variable& scores);
 
+/// Per-pair dot product of node embeddings (an SDDMM with unit weights):
+///   y[e] = sum_c h[src[e], c] * h[dst[e], c]     (E x 1)
+/// Bitwise equal, value and h's gradient, to the composite
+/// SumRows(Mul(GatherRows(h, src), GatherRows(h, dst))) without building its
+/// two E x F gathers and E x F product: float products summed in double in
+/// ascending c, and a two-pass backward in the composite's order (DESIGN.md
+/// §14.3). Pairs may repeat or be self pairs (i, i).
+Variable EdgeDot(const EdgeListPtr& pairs, const Variable& h);
+
 /// First-layer linear map over sparse input features with an optional
 /// per-nonzero feature mask:
 ///   out[i, :] = sum_{e in row i} mask[e] * x_val[e] * W[col(e), :]

@@ -96,8 +96,20 @@ struct Dispatch {
   /// C(m x n) += A(m x k) * B(k x n); i-k-j order with a zero-skip on A so
   /// sparse inputs (bag-of-words) keep their fast path. OpenMP over rows
   /// behind ShouldParallelize(2mkn).
+  /// Output rows of n <= one vector (8 on AVX2, 16 on AVX-512) stay in a
+  /// register across k, four rows at a time; each lane's FMA sequence is the
+  /// row-axpy one, so the narrow path is bitwise equal to it.
   void (*matmul)(const float* a, const float* b, float* c, int64_t m,
                  int64_t k, int64_t n);
+  /// C(m x n) = A(m x k) * B(n x k)^T; C is overwritten. Every element is
+  /// its float products a[i][kk] * b[j][kk] summed in `double` in ascending
+  /// kk, no zero-skip (0 * Inf is NaN), rounded once to float. Products,
+  /// widening and double adds are exact IEEE steps with no FMA, so every
+  /// tier is bitwise equal to that scalar loop; SIMD tiers pack B^T and
+  /// vectorize across output columns. OpenMP over rows behind
+  /// ShouldParallelize(2mkn).
+  void (*matmul_bt)(const float* a, const float* b, float* c, int64_t m,
+                    int64_t k, int64_t n);
   /// out[i, :] = a[index[i], :]; pure data movement (row memcpy is already
   /// optimal on every tier — single variant, routed here for uniformity).
   void (*gather_rows)(const float* a, int64_t cols, const int64_t* index,

@@ -5,10 +5,11 @@
 ///
 /// Each tier TU (kernels_scalar.cc, kernels_avx2.cc, kernels_avx512.cc)
 /// defines an `Ops` struct of static inline row primitives — Axpy, Add,
-/// BiasAct, BinAdd/BinSub/BinMul, Relu — built from its intrinsics, then
-/// instantiates these templates. The loop structure (iteration order,
-/// zero-skips, OpenMP cutover, epilogue placement) is therefore written once
-/// and provably identical across tiers; only the per-row arithmetic differs.
+/// BiasAct, BinAdd/BinSub/BinMul, Relu, MatMulNarrow, BtTile — built from
+/// its intrinsics, then instantiates these templates. The loop structure
+/// (iteration order, zero-skips, OpenMP cutover, epilogue placement) is
+/// therefore written once and provably identical across tiers; only the
+/// per-row arithmetic differs.
 
 #include <algorithm>
 #include <cstdint>
@@ -75,10 +76,34 @@ void VecReluImpl(const float* a, float* out, int64_t n) {
   }
 }
 
+/// Rows the narrow matmul path carries at once: four independent FMA chains
+/// hide the FMA latency a single row-resident accumulator would stall on.
+inline constexpr int64_t kNarrowRowTile = 4;
+
 template <class Ops>
 void MatMulImpl(const float* a, const float* b, float* c, int64_t m, int64_t k,
                 int64_t n) {
   const bool par = ShouldParallelize(2.0 * static_cast<double>(m) * k * n);
+  if constexpr (Ops::kNarrowCols > 0) {
+    if (n <= Ops::kNarrowCols) {
+      // Output rows fit one vector: they stay in registers across k instead
+      // of a masked store and reload per step. Each lane sees the same FMA
+      // sequence as the row-axpy loop below, zero-skip included.
+      const int64_t tiles = (m + kNarrowRowTile - 1) / kNarrowRowTile;
+#pragma omp parallel for schedule(static) if (par)
+      for (int64_t t = 0; t < tiles; ++t) {
+        const int64_t i = t * kNarrowRowTile;
+        if (m - i >= kNarrowRowTile) {
+          Ops::template MatMulNarrow<kNarrowRowTile>(a + i * k, b, c + i * n,
+                                                     k, n);
+        } else {
+          for (int64_t r = i; r < m; ++r)
+            Ops::template MatMulNarrow<1>(a + r * k, b, c + r * n, k, n);
+        }
+      }
+      return;
+    }
+  }
 #pragma omp parallel for schedule(static) if (par)
   for (int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
@@ -89,6 +114,41 @@ void MatMulImpl(const float* a, const float* b, float* c, int64_t m, int64_t k,
       Ops::Axpy(crow, b + kk * n, n, av);
     }
   }
+}
+
+/// Output columns one MatMulBt pass accumulates in `double` at a time.
+inline constexpr int64_t kBtColTile = 32;
+
+/// C(m x n) = A(m x k) * B(n x k)^T. Packs B^T once so each row of C is a
+/// sweep over contiguous B^T rows, vectorized across output columns by the
+/// tier's Ops::BtTile. Per element: float products summed in `double` in
+/// ascending k, no zero-skip, one rounding to float at the end.
+template <class Ops>
+void MatMulBtImpl(const float* a, const float* b, float* c, int64_t m,
+                  int64_t k, int64_t n) {
+  std::vector<float> bt(static_cast<size_t>(k * n));
+  for (int64_t j = 0; j < n; ++j)
+    for (int64_t kk = 0; kk < k; ++kk) bt[kk * n + j] = b[j * k + kk];
+  const bool par = ShouldParallelize(2.0 * static_cast<double>(m) * k * n);
+#pragma omp parallel for schedule(static) if (par)
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j0 = 0; j0 < n; j0 += kBtColTile)
+      Ops::BtTile(a + i * k, bt.data() + j0, c + i * n + j0, k, n,
+                  std::min(kBtColTile, n - j0));
+}
+
+/// Portable BtTile: the scalar reference, and the body of the SIMD tiers
+/// when their flags are missing.
+inline void BtTileScalar(const float* arow, const float* bt, float* crow,
+                         int64_t k, int64_t stride, int64_t width) {
+  double acc[kBtColTile] = {};
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float av = arow[kk];
+    const float* brow = bt + kk * stride;
+    for (int64_t j = 0; j < width; ++j)
+      acc[j] += static_cast<double>(av * brow[j]);
+  }
+  for (int64_t j = 0; j < width; ++j) crow[j] = static_cast<float>(acc[j]);
 }
 
 inline void GatherRowsImpl(const float* a, int64_t cols, const int64_t* index,

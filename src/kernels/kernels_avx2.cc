@@ -83,6 +83,71 @@ struct OpsAvx2 {
       row[i] = v;
     }
   }
+  /// Lane mask selecting the first `n` of eight floats (n may be <= 0).
+  static inline __m256i LaneMask(int64_t n) {
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(std::clamp<int64_t>(n, 0, 8))),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  /// R output rows of n <= 8 columns held in registers across k. Axpy's
+  /// tail loop is FMA-contracted like its vector body, so every lane keeps
+  /// the one-FMA-per-nonzero-k sequence of the row-axpy path.
+  static constexpr int64_t kNarrowCols = 8;
+  template <int R>
+  static inline void MatMulNarrow(const float* a, const float* b, float* c,
+                                  int64_t k, int64_t n) {
+    const __m256i m = LaneMask(n);
+    __m256 acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = _mm256_maskload_ps(c + r * n, m);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m256 bv = _mm256_maskload_ps(b + kk * n, m);
+      for (int r = 0; r < R; ++r) {
+        const float av = a[r * k + kk];
+        if (av != 0.0f)
+          acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(av), bv, acc[r]);
+      }
+    }
+    for (int r = 0; r < R; ++r) _mm256_maskstore_ps(c + r * n, m, acc[r]);
+  }
+  /// kBtColTile output columns in four groups of eight: float products
+  /// widened to four doubles per half and summed in ascending k. A full
+  /// tile loads unmasked; only the ragged last tile pays for masked loads.
+  static inline void BtTile(const float* arow, const float* bt, float* crow,
+                            int64_t k, int64_t stride, int64_t width) {
+    if (width == kBtColTile) {
+      BtTileOf<true>(arow, bt, crow, k, stride, width);
+    } else {
+      BtTileOf<false>(arow, bt, crow, k, stride, width);
+    }
+  }
+
+ private:
+  template <bool kFull>
+  static inline void BtTileOf(const float* arow, const float* bt, float* crow,
+                              int64_t k, int64_t stride, int64_t width) {
+    constexpr int kGroups = kBtColTile / 8;
+    __m256i m[kGroups];
+    for (int g = 0; g < kGroups; ++g) m[g] = LaneMask(width - 8 * g);
+    __m256d acc[2 * kGroups];
+    for (int g = 0; g < 2 * kGroups; ++g) acc[g] = _mm256_setzero_pd();
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m256 av = _mm256_set1_ps(arow[kk]);
+      const float* brow = bt + kk * stride;
+      for (int g = 0; g < kGroups; ++g) {
+        const __m256 bv = kFull ? _mm256_loadu_ps(brow + 8 * g)
+                                : _mm256_maskload_ps(brow + 8 * g, m[g]);
+        const __m256 p = _mm256_mul_ps(av, bv);
+        acc[2 * g] = _mm256_add_pd(
+            acc[2 * g], _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
+        acc[2 * g + 1] = _mm256_add_pd(
+            acc[2 * g + 1], _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
+      }
+    }
+    for (int g = 0; g < kGroups; ++g)
+      _mm256_maskstore_ps(crow + 8 * g, m[g],
+                          _mm256_set_m128(_mm256_cvtpd_ps(acc[2 * g + 1]),
+                                          _mm256_cvtpd_ps(acc[2 * g])));
+  }
 };
 
 using Ops = OpsAvx2;
@@ -121,6 +186,11 @@ struct OpsFallback {
     if (relu)
       for (int64_t i = 0; i < n; ++i) row[i] = row[i] > 0.0f ? row[i] : 0.0f;
   }
+  static constexpr int64_t kNarrowCols = 0;
+  static inline void BtTile(const float* arow, const float* bt, float* crow,
+                            int64_t k, int64_t stride, int64_t width) {
+    BtTileScalar(arow, bt, crow, k, stride, width);
+  }
 };
 
 using Ops = OpsFallback;
@@ -144,6 +214,10 @@ void VecRelu(const float* a, float* out, int64_t n) {
 void MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
   MatMulImpl<Ops>(a, b, c, m, k, n);
+}
+void MatMulBt(const float* a, const float* b, float* c, int64_t m, int64_t k,
+              int64_t n) {
+  MatMulBtImpl<Ops>(a, b, c, m, k, n);
 }
 void GatherRows(const float* a, int64_t cols, const int64_t* index, int64_t n,
                 float* out) {
@@ -178,6 +252,7 @@ const Dispatch kDispatchAvx2 = {
     &VecMul,
     &VecRelu,
     &MatMul,
+    &MatMulBt,
     &GatherRows,
     &SpmmCsr,
     &SpmmCsrBlocked,

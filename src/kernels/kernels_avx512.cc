@@ -120,6 +120,64 @@ struct OpsAvx512 {
       _mm512_mask_storeu_ps(row + i, m, v);
     }
   }
+  /// R output rows of n <= 16 columns held in registers across k: the same
+  /// masked FMA per nonzero k as Axpy, without its store and reload.
+  static constexpr int64_t kNarrowCols = 16;
+  template <int R>
+  static inline void MatMulNarrow(const float* a, const float* b, float* c,
+                                  int64_t k, int64_t n) {
+    const __mmask16 m = TailMask(n);
+    __m512 acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = _mm512_maskz_loadu_ps(m, c + r * n);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m512 bv = _mm512_maskz_loadu_ps(m, b + kk * n);
+      for (int r = 0; r < R; ++r) {
+        const float av = a[r * k + kk];
+        if (av != 0.0f)
+          acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(av), bv, acc[r]);
+      }
+    }
+    for (int r = 0; r < R; ++r) _mm512_mask_storeu_ps(c + r * n, m, acc[r]);
+  }
+  /// kBtColTile output columns in four groups of eight: float products
+  /// widened to eight doubles and summed in ascending k. A full tile loads
+  /// unmasked; only the ragged last tile pays for masked loads.
+  static inline void BtTile(const float* arow, const float* bt, float* crow,
+                            int64_t k, int64_t stride, int64_t width) {
+    if (width == kBtColTile) {
+      BtTileOf<true>(arow, bt, crow, k, stride, width);
+    } else {
+      BtTileOf<false>(arow, bt, crow, k, stride, width);
+    }
+  }
+
+ private:
+  template <bool kFull>
+  static inline void BtTileOf(const float* arow, const float* bt, float* crow,
+                              int64_t k, int64_t stride, int64_t width) {
+    constexpr int kGroups = kBtColTile / 8;
+    __m256i m[kGroups];
+    for (int g = 0; g < kGroups; ++g) m[g] = LaneMask(width - 8 * g);
+    __m512d acc[kGroups];
+    for (int g = 0; g < kGroups; ++g) acc[g] = _mm512_setzero_pd();
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m256 av = _mm256_set1_ps(arow[kk]);
+      const float* brow = bt + kk * stride;
+      for (int g = 0; g < kGroups; ++g) {
+        const __m256 bv = kFull ? _mm256_loadu_ps(brow + 8 * g)
+                                : _mm256_maskload_ps(brow + 8 * g, m[g]);
+        acc[g] = _mm512_add_pd(acc[g], _mm512_cvtps_pd(_mm256_mul_ps(av, bv)));
+      }
+    }
+    for (int g = 0; g < kGroups; ++g)
+      _mm256_maskstore_ps(crow + 8 * g, m[g], _mm512_cvtpd_ps(acc[g]));
+  }
+  /// Lane mask selecting the first `n` of eight floats (n may be <= 0).
+  static inline __m256i LaneMask(int64_t n) {
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(std::clamp<int64_t>(n, 0, 8))),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
 };
 
 using Ops = OpsAvx512;
@@ -156,6 +214,11 @@ struct OpsFallback {
     if (relu)
       for (int64_t i = 0; i < n; ++i) row[i] = row[i] > 0.0f ? row[i] : 0.0f;
   }
+  static constexpr int64_t kNarrowCols = 0;
+  static inline void BtTile(const float* arow, const float* bt, float* crow,
+                            int64_t k, int64_t stride, int64_t width) {
+    BtTileScalar(arow, bt, crow, k, stride, width);
+  }
 };
 
 using Ops = OpsFallback;
@@ -179,6 +242,10 @@ void VecRelu(const float* a, float* out, int64_t n) {
 void MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
   MatMulImpl<Ops>(a, b, c, m, k, n);
+}
+void MatMulBt(const float* a, const float* b, float* c, int64_t m, int64_t k,
+              int64_t n) {
+  MatMulBtImpl<Ops>(a, b, c, m, k, n);
 }
 void GatherRows(const float* a, int64_t cols, const int64_t* index, int64_t n,
                 float* out) {
@@ -213,6 +280,7 @@ const Dispatch kDispatchAvx512 = {
     &VecMul,
     &VecRelu,
     &MatMul,
+    &MatMulBt,
     &GatherRows,
     &SpmmCsr,
     &SpmmCsrBlocked,

@@ -9,6 +9,8 @@ namespace ses::kernels::detail {
 namespace {
 
 struct OpsScalar {
+  /// No register-resident narrow path: every width runs the row-axpy loop.
+  static constexpr int64_t kNarrowCols = 0;
   static inline void Axpy(float* dst, const float* src, int64_t n, float a) {
     for (int64_t i = 0; i < n; ++i) dst[i] += a * src[i];
   }
@@ -37,6 +39,10 @@ struct OpsScalar {
     if (relu)
       for (int64_t i = 0; i < n; ++i) row[i] = row[i] > 0.0f ? row[i] : 0.0f;
   }
+  static inline void BtTile(const float* arow, const float* bt, float* crow,
+                            int64_t k, int64_t stride, int64_t width) {
+    BtTileScalar(arow, bt, crow, k, stride, width);
+  }
 };
 
 void AddRow(float* dst, const float* src, int64_t n) {
@@ -57,6 +63,10 @@ void VecRelu(const float* a, float* out, int64_t n) {
 void MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n) {
   MatMulImpl<OpsScalar>(a, b, c, m, k, n);
+}
+void MatMulBt(const float* a, const float* b, float* c, int64_t m, int64_t k,
+              int64_t n) {
+  MatMulBtImpl<OpsScalar>(a, b, c, m, k, n);
 }
 void GatherRows(const float* a, int64_t cols, const int64_t* index, int64_t n,
                 float* out) {
@@ -91,6 +101,7 @@ const Dispatch kDispatchScalar = {
     &VecMul,
     &VecRelu,
     &MatMul,
+    &MatMulBt,
     &GatherRows,
     &SpmmCsr,
     &SpmmCsrBlocked,

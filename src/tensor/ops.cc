@@ -104,18 +104,9 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
   KernelScope scope("matmul", "bt", 2.0 * m * k * n, MatMulBytes(m, k, n));
   Tensor out(m, n);
-#pragma omp parallel for schedule(static) \
-    if (kernels::ShouldParallelize(2.0 * m * k * n))
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a.RowPtr(i);
-    float* crow = out.RowPtr(i);
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b.RowPtr(j);
-      double acc = 0.0;
-      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] = static_cast<float>(acc);
-    }
-  }
+  // Float products summed in double in ascending k, bitwise equal on every
+  // tier; the SIMD tiers vectorize across output columns of a packed B^T.
+  kernels::GetDispatch().matmul_bt(a.data(), b.data(), out.data(), m, k, n);
   return out;
 }
 

@@ -26,7 +26,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// C = A^T * B (without materializing A^T).
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 
-/// C = A * B^T (without materializing B^T).
+/// C = A * B^T. Each element is its float products summed in double in
+/// ascending k (no zero-skip), rounded once: bitwise equal across tiers.
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 
 /// Transpose.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
@@ -64,6 +65,31 @@ TEST(AutogradTest, ActivationGradients) {
     auto result = ag::CheckGradients(
         [&] { return ag::MeanAll(make(a)); }, {a});
     EXPECT_TRUE(result.ok) << "rel err " << result.max_rel_error;
+  }
+}
+
+TEST(AutogradTest, ActivationBackwardMultipliesGradientByFactor) {
+  // The factor is evaluated in backward, then multiplied (not selected):
+  // a NaN or Inf gradient reaches the input even where the factor is 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  auto x = ag::Variable::Parameter({{-1.0f, -2.0f, 3.0f, 0.5f}});
+  const t::Tensor seed({{inf, std::nanf(""), 2.0f, -0.25f}});
+  ag::Backward(ag::Relu(x), seed);
+  EXPECT_TRUE(std::isnan(x.grad()[0]));  // Inf * 0
+  EXPECT_TRUE(std::isnan(x.grad()[1]));  // NaN * 0
+  EXPECT_EQ(x.grad()[2], 2.0f);
+  EXPECT_EQ(x.grad()[3], -0.25f);
+
+  // Sigmoid: g * (y * (1 - y)) from the stored output, bit for bit.
+  auto z = ag::Variable::Parameter({{-3.0f, 0.0f, 0.7f, 9.0f}});
+  const ag::Variable y = ag::Sigmoid(z);
+  const t::Tensor g({{0.3f, -1.5f, 2.0f, 1e-3f}});
+  ag::Backward(y, g);
+  for (int64_t i = 0; i < 4; ++i) {
+    const float yi = y.value()[i];
+    const float factor = yi * (1.0f - yi);
+    const float want = g[i] * factor;
+    EXPECT_EQ(z.grad()[i], want) << i;
   }
 }
 

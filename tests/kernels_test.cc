@@ -6,10 +6,14 @@
 //  - the fused GCN epilogue (aggregate + bias + ReLU) against the unfused
 //    chain — bitwise at scalar tier, tolerance-gated at SIMD tiers,
 //  - SpMMBiasAct gradients (analytic vs the unfused chain, plus numeric),
+//  - the register-resident narrow matmul and the double-accumulating
+//    MatMulTransposedB, bitwise against test-local references per tier,
+//  - EdgeDot, bitwise against the gather/multiply/row-sum composite,
 //  - autotuner determinism and per-graph plan memoization.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -63,6 +67,20 @@ double MaxAbsDiff(const float* a, const float* b, int64_t n) {
 
 bool BitwiseEqual(const float* a, const float* b, int64_t n) {
   return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+/// Bitwise equality where a NaN must meet a NaN. When two NaNs meet in one
+/// add, x86 keeps the first operand's payload, and operand order is the
+/// compiler's choice, so NaN payloads are not part of any contract.
+bool BitwiseEqualOrBothNaN(const float* a, const float* b, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) || std::isnan(b[i])) {
+      if (std::isnan(a[i]) != std::isnan(b[i])) return false;
+    } else if (std::memcmp(a + i, b + i, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Relative tolerance for SIMD-vs-scalar parity: FMA contraction and
@@ -496,6 +514,215 @@ TEST(AutotuneTest, EdgeListPlanMemoizesAndRebuildsOnResize) {
   const auto p2 = edges->plan();
   EXPECT_EQ(p1.get(), p2.get()) << "same graph must reuse the memoized plan";
   EXPECT_EQ(p1->stats().nnz, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Narrow dense matmul: n <= one vector keeps each output row in a register.
+// Its lanes must see exactly the row-axpy sequence, which the per-tier
+// reference below spells out: one FMA per nonzero A element on SIMD tiers,
+// a rounded multiply then add on scalar.
+
+void ReferenceMatMul(k::SimdTier tier, const float* a, const float* b,
+                     float* c, int64_t m, int64_t kk, int64_t n) {
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t p = 0; p < kk; ++p) {
+      const float av = a[i * kk + p];
+      if (av == 0.0f) continue;
+      for (int64_t j = 0; j < n; ++j) {
+        float& cv = c[i * n + j];
+        if (tier == k::SimdTier::kScalar) {
+          const float prod = av * b[p * n + j];
+          cv = cv + prod;
+        } else {
+          cv = std::fma(av, b[p * n + j], cv);
+        }
+      }
+    }
+}
+
+TEST(NarrowMatMulTest, BitwiseEqualToPerTierReference) {
+  util::Rng rng(5);
+  // 9 rows: two full four-row tiles plus a single-row remainder.
+  const int64_t m = 9, kk = 13;
+  for (const k::SimdTier tier : SupportedTiers()) {
+    const k::Dispatch& d = k::DispatchFor(tier);
+    for (int64_t n = 1; n <= 17; ++n) {
+      t::Tensor a = t::Tensor::Randn(m, kk, &rng);
+      t::Tensor b = t::Tensor::Randn(kk, n, &rng);
+      a.At(1, 4) = 0.0f;  // zero-skip: B row 4 holds a NaN row 1 never sees
+      a.At(8, 4) = 0.0f;  // ... nor does the remainder row
+      b.At(4, n - 1) = std::nanf("");
+      // C accumulates: start from nonzero values.
+      t::Tensor got = t::Tensor::Randn(m, n, &rng);
+      t::Tensor want = got;
+      d.matmul(a.data(), b.data(), got.data(), m, kk, n);
+      ReferenceMatMul(tier, a.data(), b.data(), want.data(), m, kk, n);
+      EXPECT_TRUE(BitwiseEqual(got.data(), want.data(), m * n))
+          << k::TierName(tier) << " matmul n=" << n;
+      EXPECT_FALSE(std::isnan(got.At(1, n - 1))) << k::TierName(tier);
+      EXPECT_TRUE(std::isnan(got.At(0, n - 1))) << k::TierName(tier);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MatMulTransposedB: float products summed in double in ascending k, no
+// zero-skip, bitwise on every tier.
+
+void ReferenceMatMulBt(const float* a, const float* b, float* c, int64_t m,
+                       int64_t kk, int64_t n) {
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (int64_t p = 0; p < kk; ++p) {
+        const float prod = a[i * kk + p] * b[j * kk + p];
+        acc += static_cast<double>(prod);
+      }
+      c[i * n + j] = static_cast<float>(acc);
+    }
+}
+
+TEST(MatMulBtTest, BitwiseEqualToDoubleAccumulationReference) {
+  util::Rng rng(6);
+  const int64_t m = 5;
+  for (const k::SimdTier tier : SupportedTiers()) {
+    const k::Dispatch& d = k::DispatchFor(tier);
+    for (const int64_t kk : {1, 4, 64}) {
+      for (const int64_t n : {1, 7, 8, 17, 31, 32, 33, 64, 70}) {
+        t::Tensor a = t::Tensor::Randn(m, kk, &rng);
+        t::Tensor b = t::Tensor::Randn(n, kk, &rng);
+        // Large-magnitude mixes make the double sum differ from a float one.
+        for (int64_t p = 0; p < kk; p += 3) a.At(3, p) *= 1e6f;
+        a.At(0, 0) = 0.0f;
+        b.At(n - 1, 0) = std::numeric_limits<float>::infinity();  // 0 * Inf
+        b.At(0, kk - 1) = std::nanf("");
+        a.At(4, kk - 1) = -std::numeric_limits<float>::infinity();
+        t::Tensor got(m, n), want(m, n);
+        got.Fill(7.0f);  // overwritten, not accumulated
+        d.matmul_bt(a.data(), b.data(), got.data(), m, kk, n);
+        ReferenceMatMulBt(a.data(), b.data(), want.data(), m, kk, n);
+        EXPECT_TRUE(BitwiseEqualOrBothNaN(got.data(), want.data(), m * n))
+            << k::TierName(tier) << " bt k=" << kk << " n=" << n;
+        // No zero-skip: 0 * Inf reaches the sum as NaN.
+        EXPECT_TRUE(std::isnan(got.At(0, n - 1))) << k::TierName(tier);
+      }
+    }
+  }
+}
+
+TEST(MatMulBtTest, TensorEntryMatchesReferenceAndHandlesEmptyK) {
+  util::Rng rng(8);
+  const t::Tensor a = t::Tensor::Randn(40, 19, &rng);
+  const t::Tensor b = t::Tensor::Randn(45, 19, &rng);
+  const t::Tensor got = t::MatMulTransposedB(a, b);
+  t::Tensor want(40, 45);
+  ReferenceMatMulBt(a.data(), b.data(), want.data(), 40, 19, 45);
+  EXPECT_TRUE(BitwiseEqual(got.data(), want.data(), want.size()));
+  const t::Tensor empty = t::MatMulTransposedB(t::Tensor(3, 0), t::Tensor(2, 0));
+  ASSERT_EQ(empty.rows(), 3);
+  ASSERT_EQ(empty.cols(), 2);
+  for (int64_t i = 0; i < empty.size(); ++i) EXPECT_EQ(empty[i], 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// EdgeDot: the fused pair scorer against the composite it replaces.
+
+ag::EdgeListPtr MakePairs(const std::vector<int64_t>& src,
+                          const std::vector<int64_t>& dst, int64_t nodes) {
+  auto pairs = std::make_shared<ag::EdgeList>();
+  pairs->src = src;
+  pairs->dst = dst;
+  pairs->num_nodes = nodes;
+  return pairs;
+}
+
+/// Messy pair list: random pairs, a duplicated pair, self pairs (i, i).
+ag::EdgeListPtr MakeMessyPairs(int64_t nodes, int64_t count, uint64_t seed) {
+  const TestGraph g = MakeMessyGraph(nodes, count, seed);
+  std::vector<int64_t> src = g.src, dst = g.dst;
+  src.push_back(src[1]);
+  dst.push_back(dst[1]);
+  src.push_back(0);
+  dst.push_back(0);
+  return MakePairs(src, dst, nodes);
+}
+
+struct EdgeDotResult {
+  t::Tensor value, grad;
+};
+
+/// Forward plus backward from `seed` through EdgeDot or the composite
+/// SumRows(Mul(GatherRows(h, src), GatherRows(h, dst))). The composite's
+/// gathers are separate statements, src first, as the structure-mask head
+/// built them: tape order fixes the order of the gradient adds.
+EdgeDotResult RunEdgeDot(const ag::EdgeListPtr& pairs, const t::Tensor& h,
+                         const t::Tensor& seed, bool fused) {
+  ag::Variable hv = ag::Variable::Parameter(h);
+  ag::Variable y;
+  if (fused) {
+    y = ag::EdgeDot(pairs, hv);
+  } else {
+    ag::Variable hi = ag::GatherRows(hv, pairs->src);
+    ag::Variable hj = ag::GatherRows(hv, pairs->dst);
+    y = ag::SumRows(ag::Mul(hi, hj));
+  }
+  ag::Backward(y, seed);
+  return {y.value(), hv.mutable_grad()};
+}
+
+TEST(EdgeDotTest, BitwiseEqualToCompositeForwardAndGrad) {
+  const int64_t nodes = 23;
+  const ag::EdgeListPtr pairs = MakeMessyPairs(nodes, 150, 21);
+  for (const int64_t f : {1, 17, 64}) {
+    for (const bool nan_row : {false, true}) {
+      util::Rng rng(static_cast<uint64_t>(100 + f));
+      t::Tensor h = t::Tensor::Randn(nodes, f, &rng);
+      if (nan_row) h.At(pairs->src[2], 0) = std::nanf("");
+      const t::Tensor seed = t::Tensor::Randn(pairs->size(), 1, &rng);
+      const EdgeDotResult fused = RunEdgeDot(pairs, h, seed, true);
+      const EdgeDotResult chain = RunEdgeDot(pairs, h, seed, false);
+      ASSERT_EQ(fused.value.size(), pairs->size());
+      EXPECT_TRUE(BitwiseEqual(fused.value.data(), chain.value.data(),
+                               fused.value.size()))
+          << "forward f=" << f << " nan_row=" << nan_row;
+      EXPECT_TRUE(BitwiseEqual(fused.grad.data(), chain.grad.data(),
+                               fused.grad.size()))
+          << "h.grad f=" << f << " nan_row=" << nan_row;
+      if (nan_row) EXPECT_TRUE(std::isnan(fused.value[2]));
+    }
+  }
+}
+
+TEST(EdgeDotTest, EmptyPairListGivesEmptyScoresAndZeroGrad) {
+  util::Rng rng(3);
+  const t::Tensor h = t::Tensor::Randn(4, 8, &rng);
+  const EdgeDotResult r =
+      RunEdgeDot(MakePairs({}, {}, 4), h, t::Tensor(0, 1), true);
+  EXPECT_EQ(r.value.rows(), 0);
+  EXPECT_EQ(r.value.cols(), 1);
+  for (int64_t i = 0; i < r.grad.size(); ++i) EXPECT_EQ(r.grad[i], 0.0f);
+}
+
+TEST(EdgeDotTest, NumericGradientCheck) {
+  util::Rng rng(9);
+  const ag::EdgeListPtr pairs = MakeMessyPairs(10, 30, 4);
+  auto h = ag::Variable::Parameter(t::Tensor::Randn(10, 6, &rng));
+  const auto result = ag::CheckGradients(
+      [&] { return ag::MeanAll(ag::Sigmoid(ag::EdgeDot(pairs, h))); }, {h});
+  EXPECT_TRUE(result.ok) << "rel err " << result.max_rel_error;
+}
+
+TEST(EdgeDotTest, TapeFreeForwardMatchesTapedAndRecordsNoNode) {
+  util::Rng rng(10);
+  const ag::EdgeListPtr pairs = MakeMessyPairs(16, 80, 5);
+  auto h = ag::Variable::Parameter(t::Tensor::Randn(16, 33, &rng));
+  const t::Tensor taped = ag::EdgeDot(pairs, h).value();
+  ag::InferenceGuard guard;
+  const uint64_t before = ag::TapeNodesCreated();
+  const ag::Variable free = ag::EdgeDot(pairs, h);
+  EXPECT_EQ(ag::TapeNodesCreated(), before);
+  EXPECT_FALSE(free.requires_grad());
+  EXPECT_TRUE(BitwiseEqual(free.value().data(), taped.data(), taped.size()));
 }
 
 // ---------------------------------------------------------------------------
