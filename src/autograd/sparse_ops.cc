@@ -17,13 +17,21 @@ namespace {
 /// Shared SpMM backward: dw[e] += x[src[e]]·g[dst[e]], dx[src[e]] += w[e] *
 /// g[dst[e]]. Used by both SpMM and the fused SpMMBiasAct (whose epilogue
 /// gradient is folded into `g` by the caller).
+///
+/// dx runs by source row over the plan's memoized CSR-by-source view: row s
+/// visits its edges in ascending edge index, so every dx element receives
+/// the same products in the same order as an edge-order scatter — bitwise
+/// equal at any team size, with no atomics. Zero weights are skipped (a NaN
+/// in g behind a zero weight stays out of dx), as in the forward.
 void AccumulateSpmmGrads(const EdgeList& edges, const NodePtr& pw,
                          const NodePtr& px, int64_t f, const t::Tensor& g) {
   const int64_t e_count = edges.size();
+  const bool par =
+      kernels::ShouldParallelize(2.0 * static_cast<double>(e_count) * f);
   if (pw->requires_grad) {
     t::Tensor& dw = pw->EnsureGrad();
     const t::Tensor& xv = px->value;
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (par)
     for (int64_t e = 0; e < e_count; ++e) {
       const float* xrow = xv.RowPtr(edges.src[static_cast<size_t>(e)]);
       const float* grow = g.RowPtr(edges.dst[static_cast<size_t>(e)]);
@@ -33,14 +41,21 @@ void AccumulateSpmmGrads(const EdgeList& edges, const NodePtr& pw,
     }
   }
   if (px->requires_grad) {
+    const kernels::CsrAdj& by_src = edges.plan()->SourceCsr();
     t::Tensor& dx = px->EnsureGrad();
-    const t::Tensor& w = pw->value;
-    for (int64_t e = 0; e < e_count; ++e) {
-      const float we = w[e];
-      if (we == 0.0f) continue;
-      const float* grow = g.RowPtr(edges.dst[static_cast<size_t>(e)]);
-      float* drow = dx.RowPtr(edges.src[static_cast<size_t>(e)]);
-      for (int64_t c = 0; c < f; ++c) drow[c] += we * grow[c];
+    const float* w = pw->value.data();
+    const int64_t* row_ptr = by_src.row_ptr.data();
+    const int64_t* dst = by_src.col.data();
+    const int64_t* perm = by_src.perm.data();
+#pragma omp parallel for schedule(dynamic, 256) if (par)
+    for (int64_t s = 0; s < by_src.rows; ++s) {
+      float* drow = dx.RowPtr(s);
+      for (int64_t i = row_ptr[s]; i < row_ptr[s + 1]; ++i) {
+        const float we = w[perm[i]];
+        if (we == 0.0f) continue;
+        const float* grow = g.RowPtr(dst[i]);
+        for (int64_t c = 0; c < f; ++c) drow[c] += we * grow[c];
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace ses::core {
@@ -117,6 +118,7 @@ ShardedSession::ShardedSession(const models::Encoder* encoder,
 }
 
 void ShardedSession::Build() {
+  SES_TRACE_SPAN("core/shard_build");
   partition_ = graph::Partitioner(options_.partition).Run(ds_->graph);
   const kernels::GraphStats whole_stats = WholeGraphSpmmStats(ds_->graph);
   const int64_t num_shards = partition_.num_shards();

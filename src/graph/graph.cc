@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "kernels/dispatch.h"
 #include "util/logging.h"
 
 namespace ses::graph {
@@ -121,32 +122,44 @@ bool Graph::HasEdge(int64_t u, int64_t v) const {
 autograd::EdgeListPtr Graph::DirectedEdges(bool add_self_loops) const {
   auto el = std::make_shared<autograd::EdgeList>();
   el->num_nodes = num_nodes_;
-  const int64_t directed = 2 * num_edges() + (add_self_loops ? num_nodes_ : 0);
-  el->src.reserve(static_cast<size_t>(directed));
-  el->dst.reserve(static_cast<size_t>(directed));
-  for (auto [u, v] : edges_) {
-    el->src.push_back(u);
-    el->dst.push_back(v);
-    el->src.push_back(v);
-    el->dst.push_back(u);
+  const int64_t m = num_edges();
+  const int64_t directed = 2 * m + (add_self_loops ? num_nodes_ : 0);
+  el->src.resize(static_cast<size_t>(directed));
+  el->dst.resize(static_cast<size_t>(directed));
+  int64_t* src = el->src.data();
+  int64_t* dst = el->dst.data();
+  // Both orientations of undirected edge i land at 2i and 2i + 1, then one
+  // self-loop per node; every slot is a function of its index alone.
+#pragma omp parallel for schedule(static) \
+    if (kernels::ShouldParallelize(static_cast<double>(directed)))
+  for (int64_t i = 0; i < m; ++i) {
+    const auto [u, v] = edges_[static_cast<size_t>(i)];
+    src[2 * i] = u;
+    dst[2 * i] = v;
+    src[2 * i + 1] = v;
+    dst[2 * i + 1] = u;
   }
   if (add_self_loops) {
     for (int64_t i = 0; i < num_nodes_; ++i) {
-      el->src.push_back(i);
-      el->dst.push_back(i);
+      src[2 * m + i] = i;
+      dst[2 * m + i] = i;
     }
   }
   return el;
 }
 
 std::vector<float> Graph::GcnNormWeights(const autograd::EdgeList& edges) {
+  const int64_t e_count = edges.size();
+  const int64_t* src = edges.src.data();
+  const int64_t* dst = edges.dst.data();
   std::vector<int64_t> deg(static_cast<size_t>(edges.num_nodes), 0);
-  for (int64_t e = 0; e < edges.size(); ++e)
-    ++deg[static_cast<size_t>(edges.dst[static_cast<size_t>(e)])];
-  std::vector<float> weights(static_cast<size_t>(edges.size()));
-  for (int64_t e = 0; e < edges.size(); ++e) {
-    const int64_t du = deg[static_cast<size_t>(edges.src[static_cast<size_t>(e)])];
-    const int64_t dv = deg[static_cast<size_t>(edges.dst[static_cast<size_t>(e)])];
+  for (int64_t e = 0; e < e_count; ++e) ++deg[static_cast<size_t>(dst[e])];
+  std::vector<float> weights(static_cast<size_t>(e_count));
+#pragma omp parallel for schedule(static) \
+    if (kernels::ShouldParallelize(static_cast<double>(e_count)))
+  for (int64_t e = 0; e < e_count; ++e) {
+    const int64_t du = deg[static_cast<size_t>(src[e])];
+    const int64_t dv = deg[static_cast<size_t>(dst[e])];
     weights[static_cast<size_t>(e)] =
         1.0f / std::sqrt(static_cast<float>(std::max<int64_t>(du, 1)) *
                          static_cast<float>(std::max<int64_t>(dv, 1)));

@@ -5,7 +5,9 @@
 #include <numeric>
 #include <utility>
 
+#include "kernels/dispatch.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace ses::graph {
@@ -46,6 +48,69 @@ void Partition::ExportMetrics() const {
       .Set(static_cast<double>(max_nodes));
 }
 
+namespace {
+
+/// Per-thread scratch for BuildShard. `stamp[v] == s` marks v as a member of
+/// shard s (shard ids never repeat within one Run, so stamps need no reset);
+/// `local_of` is the global→local map, reset through the shard's node list.
+struct ShardScratch {
+  explicit ShardScratch(int64_t n)
+      : stamp(static_cast<size_t>(n), -1), local_of(static_cast<size_t>(n), -1) {}
+  std::vector<int32_t> stamp;
+  std::vector<int64_t> local_of;
+  std::vector<int64_t> frontier, next;
+};
+
+/// Grows shard s's `halo_hops`-hop halo around its owned nodes (already
+/// filled, ascending) and builds the subgraph induced on owned ∪ halo.
+void BuildShard(const Graph& g, int64_t halo_hops, int32_t s,
+                ShardScratch* scratch, Shard* shard) {
+  SES_TRACE_SPAN("graph/halo_closure");
+  std::vector<int32_t>& stamp = scratch->stamp;
+  std::vector<int64_t>& local_of = scratch->local_of;
+  std::vector<int64_t>& frontier = scratch->frontier;
+  std::vector<int64_t>& next = scratch->next;
+  shard->nodes = shard->owned;
+  frontier = shard->owned;
+  for (const int64_t v : frontier) stamp[static_cast<size_t>(v)] = s;
+  for (int64_t hop = 0; hop < halo_hops; ++hop) {
+    next.clear();
+    for (const int64_t v : frontier) {
+      for (const int64_t u : g.Neighbors(v)) {
+        if (stamp[static_cast<size_t>(u)] == s) continue;
+        stamp[static_cast<size_t>(u)] = s;
+        next.push_back(u);
+        shard->halo.push_back(u);
+      }
+    }
+    std::swap(frontier, next);
+  }
+  std::sort(shard->halo.begin(), shard->halo.end());
+  shard->nodes.insert(shard->nodes.end(), shard->halo.begin(),
+                      shard->halo.end());
+  std::sort(shard->nodes.begin(), shard->nodes.end());
+
+  for (size_t i = 0; i < shard->nodes.size(); ++i)
+    local_of[static_cast<size_t>(shard->nodes[i])] = static_cast<int64_t>(i);
+  // Scanning nodes ascending and neighbors ascending emits local edges in
+  // lexicographic order (the map is monotone), so the zero-sort Graph
+  // constructor applies.
+  std::vector<std::pair<int64_t, int64_t>> local_edges;
+  for (size_t i = 0; i < shard->nodes.size(); ++i) {
+    const int64_t v = shard->nodes[i];
+    for (const int64_t u : g.Neighbors(v)) {
+      if (u <= v || stamp[static_cast<size_t>(u)] != s) continue;
+      local_edges.emplace_back(static_cast<int64_t>(i),
+                               local_of[static_cast<size_t>(u)]);
+    }
+  }
+  shard->graph = Graph::FromSortedUniqueEdges(
+      static_cast<int64_t>(shard->nodes.size()), std::move(local_edges));
+  for (const int64_t v : shard->nodes) local_of[static_cast<size_t>(v)] = -1;
+}
+
+}  // namespace
+
 Partitioner::Partitioner(PartitionOptions options) : options_(options) {
   SES_CHECK(options_.num_shards >= 1);
   SES_CHECK(options_.halo_hops >= 0);
@@ -53,6 +118,7 @@ Partitioner::Partitioner(PartitionOptions options) : options_(options) {
 }
 
 Partition Partitioner::Run(const Graph& g) const {
+  SES_TRACE_SPAN("graph/partition");
   const int64_t n = g.num_nodes();
   const int64_t num_shards = std::min<int64_t>(options_.num_shards,
                                                std::max<int64_t>(n, 1));
@@ -111,55 +177,21 @@ Partition Partitioner::Run(const Graph& g) const {
   }
 
   // --- Halo closure and induced local subgraphs ----------------------------
-  // `stamp` marks membership for the shard being built; `local_of` is the
-  // shared scratch global→local map, reset via the shard's node list.
-  std::vector<int32_t> stamp(static_cast<size_t>(n), -1);
-  std::vector<int64_t> local_of(static_cast<size_t>(n), -1);
-  std::vector<int64_t> frontier, next;
-  for (int32_t s = 0; s < num_shards; ++s) {
-    Shard& shard = part.shards[static_cast<size_t>(s)];
-    for (int64_t v = 0; v < n; ++v)
-      if (part.shard_of[static_cast<size_t>(v)] == s)
-        shard.owned.push_back(v);
-    shard.nodes = shard.owned;
-    frontier = shard.owned;
-    for (const int64_t v : frontier) stamp[static_cast<size_t>(v)] = s;
-    for (int64_t hop = 0; hop < options_.halo_hops; ++hop) {
-      next.clear();
-      for (const int64_t v : frontier) {
-        for (const int64_t u : g.Neighbors(v)) {
-          if (stamp[static_cast<size_t>(u)] == s) continue;
-          stamp[static_cast<size_t>(u)] = s;
-          next.push_back(u);
-          shard.halo.push_back(u);
-        }
-      }
-      std::swap(frontier, next);
-    }
-    std::sort(shard.halo.begin(), shard.halo.end());
-    shard.nodes.insert(shard.nodes.end(), shard.halo.begin(),
-                       shard.halo.end());
-    std::sort(shard.nodes.begin(), shard.nodes.end());
-
-    for (size_t i = 0; i < shard.nodes.size(); ++i)
-      local_of[static_cast<size_t>(shard.nodes[i])] =
-          static_cast<int64_t>(i);
-    // Scanning nodes ascending and neighbors ascending emits local edges in
-    // lexicographic order (the map is monotone), so the zero-sort Graph
-    // constructor applies.
-    std::vector<std::pair<int64_t, int64_t>> local_edges;
-    for (size_t i = 0; i < shard.nodes.size(); ++i) {
-      const int64_t v = shard.nodes[i];
-      for (const int64_t u : g.Neighbors(v)) {
-        if (u <= v || stamp[static_cast<size_t>(u)] != s) continue;
-        local_edges.emplace_back(static_cast<int64_t>(i),
-                                 local_of[static_cast<size_t>(u)]);
-      }
-    }
-    shard.graph = Graph::FromSortedUniqueEdges(
-        static_cast<int64_t>(shard.nodes.size()), std::move(local_edges));
-    for (const int64_t v : shard.nodes)
-      local_of[static_cast<size_t>(v)] = -1;
+  for (int64_t v = 0; v < n; ++v)
+    part.shards[static_cast<size_t>(part.shard_of[static_cast<size_t>(v)])]
+        .owned.push_back(v);
+  // Shards only read `g` and `shard_of`, so they are built concurrently,
+  // each thread with its own n-sized scratch; a shard's contents do not
+  // depend on which thread builds it.
+  const bool par = num_shards > 1 && kernels::ShouldParallelize(
+                                         2.0 * static_cast<double>(g.num_edges()));
+#pragma omp parallel if (par)
+  {
+    ShardScratch scratch(n);
+#pragma omp for schedule(dynamic, 1)
+    for (int32_t s = 0; s < num_shards; ++s)
+      BuildShard(g, options_.halo_hops, s, &scratch,
+                 &part.shards[static_cast<size_t>(s)]);
   }
 
   part.ExportMetrics();

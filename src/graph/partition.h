@@ -74,7 +74,9 @@ class Partitioner {
   explicit Partitioner(PartitionOptions options = {});
 
   /// Partitions `g`, builds every shard's halo closure and induced local
-  /// subgraph, and exports the `ses.partition.*` quality metrics.
+  /// subgraph (shards concurrently above the OpenMP cutover, with results
+  /// independent of the thread count), and exports the `ses.partition.*`
+  /// quality metrics.
   Partition Run(const Graph& g) const;
 
  private:

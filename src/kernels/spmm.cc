@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/trace.h"
 #include "util/logging.h"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace ses::kernels {
 
@@ -14,33 +19,106 @@ namespace {
 /// across machines of the same class.
 constexpr int64_t kL2BudgetBytes = 1 << 20;
 
+int MaxThreads() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
+}
+
 }  // namespace
 
 CsrAdj BuildCsrByDst(const int64_t* src, const int64_t* dst, int64_t e,
                      int64_t n) {
+  SES_TRACE_SPAN("kernels/csr_build");
   CsrAdj csr;
   csr.rows = n;
   csr.cols = n;
   csr.row_ptr.assign(static_cast<size_t>(n) + 1, 0);
-  for (int64_t i = 0; i < e; ++i) {
-    SES_CHECK(dst[i] >= 0 && dst[i] < n);
-    ++csr.row_ptr[static_cast<size_t>(dst[i]) + 1];
-  }
-  for (int64_t r = 0; r < n; ++r)
-    csr.row_ptr[static_cast<size_t>(r) + 1] +=
-        csr.row_ptr[static_cast<size_t>(r)];
   csr.col.resize(static_cast<size_t>(e));
   csr.perm.resize(static_cast<size_t>(e));
-  std::vector<int64_t> cursor(csr.row_ptr.begin(), csr.row_ptr.end() - 1);
-  // Walking edges in order with per-row cursors is a STABLE sort: within a
-  // row, entries appear in ascending edge index, so per-row accumulation
-  // replays the edge-order sequence exactly (the bitwise-parity invariant).
-  for (int64_t i = 0; i < e; ++i) {
-    const int64_t slot = cursor[static_cast<size_t>(dst[i])]++;
-    csr.col[static_cast<size_t>(slot)] = src[i];
-    csr.perm[static_cast<size_t>(slot)] = i;
+  // Stable counting sort over `chunks` contiguous edge chunks, one per
+  // thread. cursor[c * n + r] first counts chunk c's edges into row r, then
+  // becomes chunk c's first slot in row r, after every slot of row r that
+  // chunks before c take. Each chunk then scatters its edges in edge order,
+  // so within a row entries appear in ascending edge index — exactly the
+  // serial walk's order, for any chunk count (the bitwise-parity
+  // invariant). One chunk is the serial walk: count, prefix, scatter.
+  const int chunks =
+      ShouldParallelize(static_cast<double>(e)) ? MaxThreads() : 1;
+  std::vector<int64_t> cursor(static_cast<size_t>(chunks) *
+                              static_cast<size_t>(n));
+  std::vector<int64_t> first_bad(static_cast<size_t>(chunks), e);
+  auto edge_lo = [&](int c) { return e * c / chunks; };
+#pragma omp parallel for schedule(static) num_threads(chunks) if (chunks > 1)
+  for (int c = 0; c < chunks; ++c) {
+    int64_t* count = cursor.data() + static_cast<size_t>(c) * n;
+    for (int64_t i = edge_lo(c); i < edge_lo(c + 1); ++i) {
+      if (dst[i] < 0 || dst[i] >= n) {
+        first_bad[static_cast<size_t>(c)] = i;
+        break;
+      }
+      ++count[dst[i]];
+    }
+  }
+  // Checked outside the parallel region so a bad index stays a catchable
+  // error rather than an exception escaping an OpenMP region.
+  for (const int64_t i : first_bad)
+    if (i < e) SES_CHECK(dst[i] >= 0 && dst[i] < n);
+
+  // Exclusive prefix over (row, chunk), n·chunks additions: cheap next to
+  // the two O(E) passes, so it stays serial.
+  int64_t next = 0;
+  for (int64_t r = 0; r < n; ++r) {
+    csr.row_ptr[static_cast<size_t>(r)] = next;
+    for (int c = 0; c < chunks; ++c) {
+      int64_t& slot = cursor[static_cast<size_t>(c) * n + r];
+      const int64_t count = slot;
+      slot = next;
+      next += count;
+    }
+  }
+  csr.row_ptr[static_cast<size_t>(n)] = e;
+
+#pragma omp parallel for schedule(static) num_threads(chunks) if (chunks > 1)
+  for (int c = 0; c < chunks; ++c) {
+    int64_t* slot = cursor.data() + static_cast<size_t>(c) * n;
+    for (int64_t i = edge_lo(c); i < edge_lo(c + 1); ++i) {
+      const int64_t at = slot[dst[i]]++;
+      csr.col[static_cast<size_t>(at)] = src[i];
+      csr.perm[static_cast<size_t>(at)] = i;
+    }
   }
   return csr;
+}
+
+void SortRowsBySource(CsrAdj* csr) {
+  SES_TRACE_SPAN("kernels/csr_sort");
+  csr->sorted_col.resize(csr->col.size());
+  csr->sorted_perm.resize(csr->perm.size());
+  // Rows are independent, so any schedule yields the same arrays; dynamic
+  // chunks spread the hub rows of skewed graphs over the team.
+#pragma omp parallel if (ShouldParallelize(static_cast<double>(csr->nnz())))
+  {
+    std::vector<std::pair<int64_t, int64_t>> row;  // per-thread scratch
+#pragma omp for schedule(dynamic, 1024)
+    for (int64_t r = 0; r < csr->rows; ++r) {
+      const int64_t lo = csr->row_ptr[static_cast<size_t>(r)];
+      const int64_t hi = csr->row_ptr[static_cast<size_t>(r) + 1];
+      row.clear();
+      for (int64_t i = lo; i < hi; ++i)
+        row.emplace_back(csr->col[static_cast<size_t>(i)],
+                         csr->perm[static_cast<size_t>(i)]);
+      std::sort(row.begin(), row.end());
+      for (int64_t i = lo; i < hi; ++i) {
+        csr->sorted_col[static_cast<size_t>(i)] =
+            row[static_cast<size_t>(i - lo)].first;
+        csr->sorted_perm[static_cast<size_t>(i)] =
+            row[static_cast<size_t>(i - lo)].second;
+      }
+    }
+  }
 }
 
 GraphStats ComputeGraphStats(const int64_t* dst, int64_t e, int64_t n) {
@@ -109,27 +187,19 @@ const CsrAdj& SpmmPlan::EnsureSortedCsr() const {
   EnsureCsr();
   std::lock_guard<std::mutex> lock(mu_);
   if (!sorted_built_) {
-    csr_.sorted_col = csr_.col;
-    csr_.sorted_perm = csr_.perm;
-    std::vector<std::pair<int64_t, int64_t>> row(0);
-    for (int64_t r = 0; r < csr_.rows; ++r) {
-      const int64_t lo = csr_.row_ptr[static_cast<size_t>(r)];
-      const int64_t hi = csr_.row_ptr[static_cast<size_t>(r) + 1];
-      row.clear();
-      for (int64_t i = lo; i < hi; ++i)
-        row.emplace_back(csr_.col[static_cast<size_t>(i)],
-                         csr_.perm[static_cast<size_t>(i)]);
-      std::sort(row.begin(), row.end());
-      for (int64_t i = lo; i < hi; ++i) {
-        csr_.sorted_col[static_cast<size_t>(i)] =
-            row[static_cast<size_t>(i - lo)].first;
-        csr_.sorted_perm[static_cast<size_t>(i)] =
-            row[static_cast<size_t>(i - lo)].second;
-      }
-    }
+    SortRowsBySource(&csr_);
     sorted_built_ = true;
   }
   return csr_;
+}
+
+const CsrAdj& SpmmPlan::SourceCsr() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!by_src_built_) {
+    by_src_ = BuildCsrByDst(dst_, src_, stats_.nnz, stats_.nodes);
+    by_src_built_ = true;
+  }
+  return by_src_;
 }
 
 void SpmmPlan::PinChoiceStats(const GraphStats& stats) const {

@@ -46,9 +46,17 @@ struct CsrAdj {
 };
 
 /// Builds the CSR-by-destination view with a stable counting sort: O(E + N),
-/// no comparisons, entry order within each row == edge order.
+/// no comparisons, entry order within each row == edge order. Above the
+/// OpenMP cutover each thread counts and scatters one contiguous edge chunk;
+/// the output is identical for every team size. Swapping the arguments
+/// (`BuildCsrByDst(dst, src, ...)`) groups by source instead.
 CsrAdj BuildCsrByDst(const int64_t* src, const int64_t* dst, int64_t e,
                      int64_t n);
+
+/// Fills `csr->sorted_col` / `sorted_perm`: each row's (col, perm) entries
+/// in ascending column order, ties in ascending edge index. Rows are sorted
+/// in parallel above the OpenMP cutover.
+void SortRowsBySource(CsrAdj* csr);
 
 /// Cheap statistics the variant heuristic decides from. Degree means
 /// in-degree (by destination — the scatter side that determines SpMM
@@ -118,6 +126,12 @@ class SpmmPlan {
   void Run(SpmmChoice choice, const float* w, const float* x, int64_t f,
            float* out, const float* bias, bool relu) const;
 
+  /// CSR-by-SOURCE view (rows = source nodes, `col` = destination, `perm` =
+  /// edge index, entries in ascending edge index per row), built on the
+  /// first call and memoized. Only the SpMM backward reads it, so inference
+  /// never pays for it.
+  const CsrAdj& SourceCsr() const;
+
  private:
   const CsrAdj& EnsureCsr() const;
   const CsrAdj& EnsureSortedCsr() const;
@@ -129,6 +143,8 @@ class SpmmPlan {
   mutable CsrAdj csr_;          ///< rows empty until built
   mutable bool csr_built_ = false;
   mutable bool sorted_built_ = false;
+  mutable CsrAdj by_src_;        ///< rows empty until built
+  mutable bool by_src_built_ = false;
   mutable std::vector<std::pair<int64_t, SpmmChoice>> choice_memo_;
   mutable bool stats_pinned_ = false;
   mutable GraphStats pinned_stats_;  ///< decision stats when pinned

@@ -6,18 +6,28 @@
 //  - the fused GCN epilogue (aggregate + bias + ReLU) against the unfused
 //    chain — bitwise at scalar tier, tolerance-gated at SIMD tiers,
 //  - SpMMBiasAct gradients (analytic vs the unfused chain, plus numeric),
+//  - the parallel CSR build, its sorted view and the by-source SpMM
+//    backward, bitwise against test-local serial references at 1 and 3
+//    OpenMP threads,
 //  - the register-resident narrow matmul and the double-accumulating
 //    MatMulTransposedB, bitwise against test-local references per tier,
 //  - EdgeDot, bitwise against the gather/multiply/row-sum composite,
 //  - autotuner determinism and per-graph plan memoization.
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
@@ -366,6 +376,195 @@ TEST(SpmmNanTest, NonzeroWeightPropagatesNaNInEveryVariant) {
       plan.Run(choice, w.data(), x.data(), f, out.data(), nullptr, false);
       EXPECT_TRUE(std::isnan(out.At(0, 3))) << k::SpmmVariantName(choice);
       EXPECT_FALSE(std::isnan(out.At(3, 3))) << k::SpmmVariantName(choice);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel CSR build and by-source backward: thread-count invariance.
+
+/// Runs `body` with an OpenMP team of `threads`, restoring the previous team
+/// size afterwards. Builds without OpenMP (the TSan tree) run it serially.
+template <typename Body>
+void WithThreads(int threads, Body&& body) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  body();
+  omp_set_num_threads(saved);
+#else
+  (void)threads;
+  body();
+#endif
+}
+
+/// The serial walk BuildCsrByDst replaced: count, prefix, then scatter edges
+/// in order through per-row cursors.
+k::CsrAdj SerialCsrByDst(const std::vector<int64_t>& src,
+                         const std::vector<int64_t>& dst, int64_t n) {
+  k::CsrAdj csr;
+  csr.rows = csr.cols = n;
+  csr.row_ptr.assign(static_cast<size_t>(n) + 1, 0);
+  for (const int64_t d : dst) ++csr.row_ptr[static_cast<size_t>(d) + 1];
+  for (int64_t r = 0; r < n; ++r)
+    csr.row_ptr[static_cast<size_t>(r) + 1] +=
+        csr.row_ptr[static_cast<size_t>(r)];
+  csr.col.resize(src.size());
+  csr.perm.resize(src.size());
+  std::vector<int64_t> cursor(csr.row_ptr.begin(), csr.row_ptr.end() - 1);
+  for (size_t i = 0; i < src.size(); ++i) {
+    const int64_t slot = cursor[static_cast<size_t>(dst[i])]++;
+    csr.col[static_cast<size_t>(slot)] = src[i];
+    csr.perm[static_cast<size_t>(slot)] = static_cast<int64_t>(i);
+  }
+  // Sorted view: each row's (col, perm) pairs sorted one row at a time.
+  csr.sorted_col = csr.col;
+  csr.sorted_perm = csr.perm;
+  std::vector<std::pair<int64_t, int64_t>> row;
+  for (int64_t r = 0; r < n; ++r) {
+    const int64_t lo = csr.row_ptr[static_cast<size_t>(r)];
+    const int64_t hi = csr.row_ptr[static_cast<size_t>(r) + 1];
+    row.clear();
+    for (int64_t i = lo; i < hi; ++i)
+      row.emplace_back(csr.col[static_cast<size_t>(i)],
+                       csr.perm[static_cast<size_t>(i)]);
+    std::sort(row.begin(), row.end());
+    for (int64_t i = lo; i < hi; ++i) {
+      csr.sorted_col[static_cast<size_t>(i)] = row[static_cast<size_t>(i - lo)].first;
+      csr.sorted_perm[static_cast<size_t>(i)] = row[static_cast<size_t>(i - lo)].second;
+    }
+  }
+  return csr;
+}
+
+void ExpectSameCsr(const k::CsrAdj& got, const k::CsrAdj& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
+  EXPECT_EQ(got.col, want.col);
+  EXPECT_EQ(got.perm, want.perm);
+}
+
+/// Above the OpenMP cutover, with a hub, empty rows, and extra duplicate
+/// edges and self-loops on top of MakeMessyGraph's.
+TestGraph MakeLargeMessyGraph() {
+  TestGraph g = MakeMessyGraph(10000, 150000, 71);
+  for (int64_t i = 0; i < 500; ++i) {
+    g.src.push_back(g.src[static_cast<size_t>(7 * i)]);
+    g.dst.push_back(g.dst[static_cast<size_t>(7 * i)]);
+    g.src.push_back(100 + i);
+    g.dst.push_back(100 + i);
+  }
+  EXPECT_TRUE(k::ShouldParallelize(static_cast<double>(g.src.size())));
+  return g;
+}
+
+TEST(CsrBuildTest, ParallelBuildEqualsSerialWalkAtOneAndThreeThreads) {
+  const TestGraph g = MakeLargeMessyGraph();
+  const int64_t e = static_cast<int64_t>(g.src.size());
+  const k::CsrAdj by_dst = SerialCsrByDst(g.src, g.dst, g.nodes);
+  const k::CsrAdj by_src = SerialCsrByDst(g.dst, g.src, g.nodes);
+  ASSERT_EQ(by_dst.row_ptr[1], 0);  // node 0 never receives an edge
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    WithThreads(threads, [&] {
+      k::CsrAdj csr = k::BuildCsrByDst(g.src.data(), g.dst.data(), e, g.nodes);
+      ExpectSameCsr(csr, by_dst);
+      k::SortRowsBySource(&csr);
+      EXPECT_EQ(csr.sorted_col, by_dst.sorted_col);
+      EXPECT_EQ(csr.sorted_perm, by_dst.sorted_perm);
+      const k::SpmmPlan plan(g.src.data(), g.dst.data(), e, g.nodes);
+      ExpectSameCsr(plan.SourceCsr(), by_src);
+      EXPECT_EQ(&plan.SourceCsr(), &plan.SourceCsr());  // memoized
+    });
+  }
+}
+
+TEST(CsrBuildTest, EmptyEdgeListGivesAllEmptyRows) {
+  WithThreads(3, [] {
+    const k::CsrAdj csr = k::BuildCsrByDst(nullptr, nullptr, 0, 5);
+    EXPECT_EQ(csr.row_ptr, std::vector<int64_t>(6, 0));
+    EXPECT_TRUE(csr.col.empty());
+    EXPECT_TRUE(csr.perm.empty());
+  });
+}
+
+/// Edge-order SpMM backward: dw[e] = Σ_c x[src]·g[dst] in double, and
+/// dx[src[e]] += w[e]·g[dst[e]] over ascending e, zero weights skipped —
+/// both accumulated into zeroed gradients, as the op does.
+void ReferenceSpmmGrads(const TestGraph& g, const t::Tensor& w,
+                        const t::Tensor& x, const t::Tensor& grad,
+                        t::Tensor* dw, t::Tensor* dx) {
+  const int64_t f = x.cols();
+  *dw = t::Tensor::Zeros(w.rows(), 1);
+  *dx = t::Tensor::Zeros(x.rows(), f);
+  for (size_t e = 0; e < g.src.size(); ++e) {
+    const float* xrow = x.RowPtr(g.src[e]);
+    const float* grow = grad.RowPtr(g.dst[e]);
+    double acc = 0.0;
+    for (int64_t c = 0; c < f; ++c) acc += xrow[c] * grow[c];
+    (*dw)[static_cast<int64_t>(e)] += static_cast<float>(acc);
+  }
+  for (size_t e = 0; e < g.src.size(); ++e) {
+    const float we = w[static_cast<int64_t>(e)];
+    if (we == 0.0f) continue;
+    const float* grow = grad.RowPtr(g.dst[e]);
+    float* drow = dx->RowPtr(g.src[e]);
+    for (int64_t c = 0; c < f; ++c) drow[c] += we * grow[c];
+  }
+}
+
+TEST(SpmmBackwardTest, GradsBitwiseEqualEdgeOrderReferenceAtOneAndThreeThreads) {
+  const TestGraph g = MakeLargeMessyGraph();
+  const int64_t e = static_cast<int64_t>(g.src.size());
+  const int64_t f = 17;
+  util::Rng rng(73);
+  t::Tensor wt = t::Tensor::Randn(e, 1, &rng);
+  for (int64_t i = 0; i < e; i += 5) wt[i] = 0.0f;  // skipped edges
+  const t::Tensor xt = t::Tensor::Randn(g.nodes, f, &rng);
+  t::Tensor upstream = t::Tensor::Randn(g.nodes, f, &rng);
+  // A NaN in the upstream gradient of node 2 (the hub): it reaches dx only
+  // through the hub's nonzero-weight in-edges, and every dw of those edges.
+  upstream.At(2, 5) = std::nanf("");
+  const t::Tensor bt = t::Tensor::Randn(1, f, &rng);
+
+  const ag::Variable gv = ag::Variable::Constant(upstream);
+  for (const bool fused : {false, true}) {
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::string(fused ? "SpMMBiasAct" : "SpMM") +
+                   " threads=" + std::to_string(threads));
+      WithThreads(threads, [&] {
+        // A fresh edge list, so its plan builds the by-source view at this
+        // team size.
+        auto ep = std::make_shared<ag::EdgeList>();
+        ep->src = g.src;
+        ep->dst = g.dst;
+        ep->num_nodes = g.nodes;
+        auto w = ag::Variable::Parameter(wt);
+        auto x = ag::Variable::Parameter(xt);
+        auto b = ag::Variable::Parameter(bt);
+        const ag::Variable out = fused ? ag::SpMMBiasAct(ep, w, x, b, true)
+                                       : ag::SpMM(ep, w, x);
+        // d(sum(out ⊙ G))/d out = G exactly.
+        ag::Backward(ag::SumAll(ag::Mul(out, gv)));
+        // The fused ReLU passes G only where the output is positive.
+        t::Tensor grad = upstream;
+        if (fused)
+          for (int64_t i = 0; i < grad.size(); ++i)
+            if (!(out.value()[i] > 0.0f)) grad[i] = 0.0f;
+        t::Tensor dw, dx;
+        ReferenceSpmmGrads(g, wt, xt, grad, &dw, &dx);
+        EXPECT_TRUE(BitwiseEqualOrBothNaN(w.grad().data(), dw.data(), e));
+        EXPECT_TRUE(BitwiseEqualOrBothNaN(x.grad().data(), dx.data(),
+                                          dx.size()));
+        int64_t nan_rows = 0;
+        for (int64_t r = 0; r < g.nodes; ++r)
+          nan_rows += std::isnan(dx.At(r, 5)) ? 1 : 0;
+        if (!fused) {
+          EXPECT_GT(nan_rows, 0);
+        }
+        EXPECT_LT(nan_rows, g.nodes);
+      });
     }
   }
 }

@@ -1,9 +1,14 @@
 // Million-node data plane, small-N legs (DESIGN.md §16): bulk graph
-// builders, the scale generator, the partitioner's invariants, and the
-// bitwise shard-parity contract of ShardedSession / ShardRouter. The >=100k
+// builders, the scale generator, the partitioner's invariants (including
+// identical shards at 1 and 3 OpenMP threads), and the bitwise
+// shard-parity contract of ShardedSession / ShardRouter. The >=100k
 // legs live in scale_slow_test.cc (label: slow).
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include <algorithm>
 #include <cmath>
@@ -210,6 +215,41 @@ TEST(PartitionerTest, InvariantsOnBaShapes) {
 
 TEST(PartitionerTest, InvariantsOnScaleGraph) {
   CheckPartitionInvariants(SmallScaleGraph(), 6);
+}
+
+TEST(PartitionerTest, ShardsIdenticalAtOneAndThreeThreads) {
+  // Large enough that Run builds its shards concurrently at 3 threads.
+  const d::Dataset ds = SmallScaleGraph(6000);
+  ASSERT_TRUE(
+      k::ShouldParallelize(2.0 * static_cast<double>(ds.graph.num_edges())));
+  g::PartitionOptions opt;
+  opt.num_shards = 4;
+  std::vector<g::Partition> runs;
+  for (const int threads : {1, 3}) {
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(threads);
+    runs.push_back(g::Partitioner(opt).Run(ds.graph));
+    omp_set_num_threads(saved);
+#else
+    (void)threads;  // built without OpenMP: both runs are serial
+    runs.push_back(g::Partitioner(opt).Run(ds.graph));
+#endif
+  }
+  const g::Partition& a = runs[0];
+  const g::Partition& b = runs[1];
+  EXPECT_EQ(a.shard_of, b.shard_of);
+  EXPECT_EQ(a.cut_edges, b.cut_edges);
+  ASSERT_EQ(a.num_shards(), b.num_shards());
+  for (size_t s = 0; s < a.shards.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_EQ(a.shards[s].owned, b.shards[s].owned);
+    EXPECT_EQ(a.shards[s].halo, b.shards[s].halo);
+    EXPECT_EQ(a.shards[s].nodes, b.shards[s].nodes);
+    EXPECT_EQ(a.shards[s].num_owned_edges, b.shards[s].num_owned_edges);
+    EXPECT_EQ(a.shards[s].graph.edges(), b.shards[s].graph.edges());
+    EXPECT_FALSE(a.shards[s].halo.empty());
+  }
 }
 
 TEST(PartitionerTest, ExportsQualityMetrics) {
